@@ -1,10 +1,10 @@
 // E15 — allocation behaviour of the carve/meta-query hot path: interned
 // (arena/StringPool) vs. owned (one heap std::string per cell) content
 // decode, counted per carved page with a global operator new hook; and
-// columnar vs. row-at-a-time WHERE evaluation over the same carved
-// relation. BENCH_columnar.json is produced from this binary (procedure
-// in EXPERIMENTS.md E15); the acceptance bar is >= 5x fewer allocations
-// per carved page with interning on.
+// WHERE evaluation over an interned carved relation. BENCH_columnar.json
+// is produced from this binary (procedure in EXPERIMENTS.md E15); the
+// acceptance bar is >= 5x fewer allocations per carved page with
+// interning on.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -177,7 +177,7 @@ void BM_CarveDecodeOwned(benchmark::State& state) {
 BENCHMARK(BM_CarveDecodeOwned)
     ->Arg(4000)->Arg(20000)->Unit(benchmark::kMillisecond);
 
-// ---- columnar vs. row-at-a-time WHERE ------------------------------------
+// ---- WHERE over an interned carve ----------------------------------------
 
 const CarveResult& CarveForRows(int rows) {
   static std::map<int, CarveResult>& cache =
@@ -188,16 +188,13 @@ const CarveResult& CarveForRows(int rows) {
   return cache.emplace(rows, std::move(*carve)).first->second;
 }
 
-void RunFilter(benchmark::State& state, bool columnar) {
-  MetaQueryOptions options;
-  options.columnar_filter = columnar;
-  MetaQuerySession session(options);
+void BM_Filter(benchmark::State& state) {
+  MetaQuerySession session;
   (void)session.RegisterCarve(CarveForRows(static_cast<int>(state.range(0))),
                               "Carv");
   // Conjunctive predicate over an interned low-cardinality string column,
-  // a double range, and the row-status tag: exactly the shape the
-  // columnar fast path compiles (equality via pool id / cached hash, no
-  // per-row std::string).
+  // a double range, and the row-status tag: string equality against an
+  // interned cell is a cached-hash / byte compare, no per-row std::string.
   const char* query =
       "SELECT OID, Customer, Amount FROM CarvOrders "
       "WHERE City = 'metropolitan-district-07' AND Amount >= 100 AND "
@@ -209,29 +206,9 @@ void RunFilter(benchmark::State& state, bool columnar) {
     rows = result->rows.size();
     benchmark::DoNotOptimize(result);
   }
-  const BatchExecStats& stats = session.last_batch_stats();
-  if (columnar && stats.columnar_batches == 0) {
-    state.SkipWithError("columnar path did not engage");
-  }
-  if (!columnar && stats.columnar_batches != 0) {
-    state.SkipWithError("columnar path ran with columnar_filter off");
-  }
   state.counters["matched_rows"] = static_cast<double>(rows);
-  state.counters["columnar_batches"] =
-      static_cast<double>(stats.columnar_batches);
-  state.counters["row_batches"] = static_cast<double>(stats.row_batches);
 }
-
-void BM_FilterColumnar(benchmark::State& state) {
-  RunFilter(state, /*columnar=*/true);
-}
-BENCHMARK(BM_FilterColumnar)
-    ->Arg(4000)->Arg(20000)->Arg(100000)->Unit(benchmark::kMillisecond);
-
-void BM_FilterRowAtATime(benchmark::State& state) {
-  RunFilter(state, /*columnar=*/false);
-}
-BENCHMARK(BM_FilterRowAtATime)
+BENCHMARK(BM_Filter)
     ->Arg(4000)->Arg(20000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 }  // namespace

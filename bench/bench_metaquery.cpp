@@ -1,7 +1,8 @@
 // E4 — meta-query latency for the two Section II-C scenarios, versus
 // carved-artifact volume: scenario 1 (deleted-row selection) and scenario
-// 2 (disk-vs-RAM join for fresh updates). Each scenario also runs on the
-// out-of-core engine at a budget of 1/8 of the carved relation footprint
+// 2 (disk-vs-RAM join for fresh updates). The unsuffixed legs run the
+// engine unbounded (budget 0, nothing spills); each `*Spilled` leg runs
+// the same query at a budget of 1/8 of the carved relation footprint
 // (every operator forced to spill) for the spilled-vs-in-memory overhead
 // rows in BENCH_metaquery.json.
 #include <benchmark/benchmark.h>
@@ -70,12 +71,6 @@ const PreparedCarves& CarvesForRows(int rows) {
   return cache.emplace(rows, std::move(prepared)).first->second;
 }
 
-MetaQueryOptions OptionsForMode(bool reference) {
-  MetaQueryOptions options;
-  options.use_reference = reference;
-  return options;
-}
-
 /// In-memory footprint of one carved relation, measured the same way the
 /// out-of-core engine charges its budget.
 size_t CarveFootprintBytes(const CarveResult& carve) {
@@ -119,18 +114,9 @@ void RunScenario1(benchmark::State& state, const MetaQueryOptions& options) {
 }
 
 void BM_Scenario1DeletedRows(benchmark::State& state) {
-  RunScenario1(state, OptionsForMode(/*reference=*/false));
+  RunScenario1(state, MetaQueryOptions{});
 }
 BENCHMARK(BM_Scenario1DeletedRows)
-    ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-/// The pre-PR tuple-at-a-time executor, for speedup accounting against the
-/// batched path (same queries, same carves).
-void BM_Scenario1DeletedRowsReference(benchmark::State& state) {
-  RunScenario1(state, OptionsForMode(/*reference=*/true));
-}
-BENCHMARK(BM_Scenario1DeletedRowsReference)
     ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
@@ -169,16 +155,9 @@ void RunScenario2(benchmark::State& state, const MetaQueryOptions& options) {
 }
 
 void BM_Scenario2DiskRamJoin(benchmark::State& state) {
-  RunScenario2(state, OptionsForMode(/*reference=*/false));
+  RunScenario2(state, MetaQueryOptions{});
 }
 BENCHMARK(BM_Scenario2DiskRamJoin)
-    ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Scenario2DiskRamJoinReference(benchmark::State& state) {
-  RunScenario2(state, OptionsForMode(/*reference=*/true));
-}
-BENCHMARK(BM_Scenario2DiskRamJoinReference)
     ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 

@@ -1,13 +1,8 @@
-// Internals shared by the three meta-query executors: the batched engine
-// (batch_executor.cc, the default), the out-of-core engine
-// (spill_executor.cc, selected by MetaQueryOptions::memory_budget_bytes),
-// and the tuple-at-a-time reference implementation (reference_executor.cc,
-// kept for differential testing). Not part of the public metaquery API.
-//
-// The batched and out-of-core engines must produce bit-identical results,
-// so every piece of per-row semantics they share — join probing, group
-// accumulation, group emission, projection, ORDER BY comparison — lives
-// here and is compiled exactly once.
+// Plan and per-row building blocks of the meta-query executor
+// (spill_executor.cc): column namespaces, join probing, group
+// accumulation and emission, projection, ORDER BY comparison. The
+// tuple-at-a-time reference oracle under tests/oracles/ reuses FrameSet
+// and Accumulator. Not part of the public metaquery API.
 #ifndef DBFA_METAQUERY_EXEC_COMMON_H_
 #define DBFA_METAQUERY_EXEC_COMMON_H_
 
@@ -27,7 +22,7 @@
 
 namespace dbfa::metaquery_internal {
 
-/// Resolves a relation name for the executors (bound to
+/// Resolves a relation name for the executor (bound to
 /// MetaQuerySession::Lookup).
 using RelationResolver =
     std::function<Result<std::shared_ptr<Relation>>(const std::string&)>;
@@ -88,25 +83,13 @@ struct RecordEq {
   }
 };
 
-// ---- Batch scheduling ---------------------------------------------------
+// ---- Partition scheduling -----------------------------------------------
 
-struct BatchGrid {
-  size_t batch_rows = 0;
-  size_t count = 0;
-};
-
-/// Batch geometry is a pure function of input size and batch_rows — never
-/// of thread count — which is the root of the determinism contract.
-BatchGrid MakeBatches(size_t n, size_t batch_rows);
-
-/// Runs body(batch_index) for every batch, on the pool when available.
-/// Bodies must only touch their own batch's state. The first non-OK status
-/// in batch order is returned, so error reporting is deterministic.
-Status ForEachBatch(ThreadPool* pool, size_t nbatches,
-                    const std::function<Status(size_t)>& body);
-
-/// Moves per-batch outputs into one vector, preserving batch order.
-std::vector<Record> ConcatBatches(std::vector<std::vector<Record>> batches);
+/// Runs body(i) for i in [0, n), on the pool when available. Bodies must
+/// only touch their own slot's state. The first non-OK status in index
+/// order is returned, so error reporting is deterministic.
+Status ForEachPartition(ThreadPool* pool, size_t n,
+                        const std::function<Status(size_t)>& body);
 
 // ---- Join ----------------------------------------------------------------
 
@@ -126,16 +109,17 @@ Status ResolveJoinColumns(const FrameSet& frames, const FrameSet& right_frame,
                           const sql::JoinClause& join, size_t* left_idx,
                           size_t* right_idx);
 
-/// Probes one left row against the table; for every surviving match calls
-/// emit(combined_record). When `fused_where` is non-null it is evaluated on
-/// a zero-copy left++right view before materializing the combined record.
-/// Match order is right scan order within the key — the contract both
-/// engines share.
+/// Probes one left row against the table; for every surviving match builds
+/// the left++right record in *combined and calls emit(*combined), which may
+/// move from it or leave it to be reused. When `fused_where` is non-null it
+/// is evaluated on a zero-copy left++right view before the combined record
+/// is built. Match order is right scan order within the key.
 template <typename Emit>
 Status ProbeJoinRow(const Record& left_row, size_t left_idx,
                     const JoinTable& table,
                     const std::vector<Record>& right_rows,
-                    const sql::BoundExpr* fused_where, Emit&& emit) {
+                    const sql::BoundExpr* fused_where, Record* combined,
+                    Emit&& emit) {
   if (left_idx >= left_row.size()) return Status::Ok();
   const Value& key = left_row[left_idx];
   if (key.is_null()) return Status::Ok();
@@ -150,11 +134,11 @@ Status ProbeJoinRow(const Record& left_row, size_t left_idx,
                                   sql::JoinRowView{&left_row, &right_row}));
       if (!pass) continue;
     }
-    Record combined;
-    combined.reserve(left_row.size() + right_row.size());
-    combined.insert(combined.end(), left_row.begin(), left_row.end());
-    combined.insert(combined.end(), right_row.begin(), right_row.end());
-    DBFA_RETURN_IF_ERROR(emit(std::move(combined)));
+    combined->clear();
+    combined->reserve(left_row.size() + right_row.size());
+    combined->insert(combined->end(), left_row.begin(), left_row.end());
+    combined->insert(combined->end(), right_row.begin(), right_row.end());
+    DBFA_RETURN_IF_ERROR(emit(*combined));
   }
   return Status::Ok();
 }
@@ -175,8 +159,8 @@ Result<AggPlan> PlanAggregation(const sql::SelectStmt& stmt,
                                 const FrameSet& frames,
                                 std::vector<std::string>* out_columns);
 
-/// Extracts the GROUP BY key of `row` (with the same unknown-column error
-/// the engines have always produced for rows narrower than the key).
+/// Extracts the GROUP BY key of `row` (an unknown-column error for rows
+/// narrower than the key).
 Status MakeGroupKey(const sql::SelectStmt& stmt, const AggPlan& plan,
                     const Record& row, Record* key);
 
@@ -193,15 +177,6 @@ Status EmitGroupRow(const sql::SelectStmt& stmt, const AggPlan& plan,
 /// The single output row of an aggregate query over empty ungrouped input
 /// (errors when a non-aggregate item is present).
 Status EmitEmptyAggregateRow(const sql::SelectStmt& stmt, Record* out);
-
-/// The batched in-memory GROUP BY operator: per-batch partial maps merged
-/// in batch order, groups emitted sorted by key. Appends result rows to
-/// *out_rows. Used verbatim by the batched engine and by the out-of-core
-/// engine when its input fits the budget.
-Status AggregateRowsInMemory(const sql::SelectStmt& stmt, const AggPlan& plan,
-                             const std::vector<Record>& rows,
-                             size_t batch_rows, ThreadPool* pool,
-                             std::vector<Record>* out_rows);
 
 // ---- Projection ----------------------------------------------------------
 
@@ -227,12 +202,6 @@ Status ResolveOrderKeys(const sql::SelectStmt& stmt,
 /// Strict-weak ordering for ORDER BY: true when a sorts before b.
 bool OrderKeyLess(const Record& a, const Record& b,
                   const std::vector<int>& idx, const std::vector<bool>& desc);
-
-/// Applies ORDER BY (resolved once against the output column names) and
-/// LIMIT to a finished result table.
-Status SortAndLimit(const sql::SelectStmt& stmt,
-                    std::vector<std::string>* columns,
-                    std::vector<Record>* rows);
 
 }  // namespace dbfa::metaquery_internal
 

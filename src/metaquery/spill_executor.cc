@@ -32,10 +32,20 @@ constexpr size_t kMergeFanIn = 16;
 // Everything an operator needs to spill: where to put files and how much
 // memory it may hold. `block_target` is the payload size spill blocks aim
 // for — a function of the budget alone, so spill layout is deterministic.
+// An unbounded query (memory_budget_bytes == 0) has no manager and an
+// infinite budget: nothing ever spills, and Charge() skips the per-row
+// footprint estimate entirely.
 struct SpillContext {
   SpillManager* manager;
   size_t budget;
   size_t block_target;
+
+  bool bounded() const { return manager != nullptr; }
+
+  /// The budget charge of one row; 0 when unbounded.
+  size_t Charge(const Record& row) const {
+    return bounded() ? sql::EstimateRecordMemoryBytes(row) : 0;
+  }
 };
 
 size_t BlockTarget(size_t budget) {
@@ -60,10 +70,10 @@ size_t PartOf(uint64_t hash, uint64_t seed, size_t fanout) {
   return static_cast<size_t>(SeededMix(hash, seed) % fanout);
 }
 
-// Earliest-row error across partitions. The batched engine reports the
-// error of the first failing row in batch order, which is the globally
-// smallest failing row index; partitioned operators reproduce that by
-// recording each partition's first error and keeping the smallest seq.
+// Earliest-row error across partitions. A query reports the error of its
+// first failing row in stage input order, the globally smallest failing
+// seq; partitioned operators reproduce that by recording each partition's
+// first error and keeping the smallest seq.
 struct SeqError {
   bool has = false;
   uint64_t seq = 0;
@@ -79,7 +89,7 @@ struct SeqError {
 };
 
 // Earliest-group error for aggregation emit, ordered by group key — the
-// order the batched engine emits groups in.
+// order groups are emitted in.
 struct KeyError {
   bool has = false;
   Record key;
@@ -211,8 +221,7 @@ class RowBuffer {
   explicit RowBuffer(SpillContext* ctx) : ctx_(ctx) {}
 
   Status Add(Record row) {
-    bytes_ += sql::EstimateRecordMemoryBytes(row);
-    ++rows_;
+    bytes_ += ctx_->Charge(row);
     if (run_.has_value()) return run_->AddRecord(row);
     mem_.push_back(std::move(row));
     if (bytes_ > ctx_->budget) {
@@ -232,15 +241,6 @@ class RowBuffer {
     if (run_.has_value()) return run_->Flush();
     return Status::Ok();
   }
-
-  size_t row_count() const { return rows_; }
-  /// Estimated in-memory footprint of the full row set (spilled or not) —
-  /// the deterministic size partitioning decisions are based on.
-  size_t byte_size() const { return bytes_; }
-  bool spilled() const { return run_.has_value(); }
-
-  /// Direct access for in-memory fast paths. Valid only when !spilled().
-  const std::vector<Record>& mem() const { return mem_; }
 
   Status ForEach(
       const std::function<Status(uint64_t, const Record&)>& fn) const {
@@ -266,7 +266,6 @@ class RowBuffer {
   SpillContext* ctx_;
   std::vector<Record> mem_;
   std::optional<RunWriter> run_;
-  size_t rows_ = 0;
   size_t bytes_ = 0;
 };
 
@@ -495,19 +494,23 @@ Status JoinPartition(SpillContext* ctx, const SpillFile& left_file,
   DBFA_ASSIGN_OR_RETURN(RunReader r,
                         RunReader::Open(left_file, /*tagged=*/true));
   Record row;
+  Record combined;
   uint64_t seq = 0;
+  // dbfa:hot-loop-begin -- per-row partition probe; no per-row std::string
+  // construction allowed (see tools/dbfa_lint rule hot-loop-string).
   while (true) {
     DBFA_ASSIGN_OR_RETURN(bool more, r.Next(&seq, &row));
     if (!more) return Status::Ok();
     Status s = ProbeJoinRow(row, left_idx, table, right_rows, fused_where,
-                            [out, seq](Record combined) {
-                              return out->Add(seq, std::move(combined));
+                            &combined, [out, seq](Record& joined) {
+                              return out->Add(seq, std::move(joined));
                             });
     if (!s.ok()) {
       err->Note(seq, std::move(s));
       return Status::Ok();
     }
   }
+  // dbfa:hot-loop-end
 }
 
 /// Where a join leaves its output: a budget-governed buffer on the fast
@@ -544,12 +547,12 @@ struct JoinOutput {
 /// exactly the in-memory hash join) or scatters to matching partitions,
 /// which join independently and leave seq-tagged outputs in *out.
 ///
-/// Error ordering matches the batched engine, which materializes the left
-/// (FROM) side before the right and probes last: a left-side error beats a
-/// right-side scan error, which beats a probe error. Since this operator
-/// consumes the right side first, a right-side failure still drains the
-/// left source to give a left-side error precedence, and fast-path probe
-/// errors defer until the left source finishes.
+/// Error ordering is that of a join that materializes the left (FROM) side
+/// before the right and probes last: a left-side error beats a right-side
+/// scan error, which beats a probe error. Since this operator consumes the
+/// right side first, a right-side failure still drains the left source to
+/// give a left-side error precedence, and fast-path probe errors defer
+/// until the left source finishes.
 Status JoinOutOfCore(SpillContext* ctx, ThreadPool* pool,
                      const RowSource& left, const RowSource& right,
                      size_t left_idx, size_t right_idx,
@@ -566,7 +569,7 @@ Status JoinOutOfCore(SpillContext* ctx, ThreadPool* pool,
     return parts[p].right->AddRecord(row);
   };
   Status right_status = right([&](uint64_t, const Record& row) -> Status {
-    size_t est = sql::EstimateRecordMemoryBytes(row);
+    size_t est = ctx->Charge(row);
     right_bytes += est;
     if (parts.empty()) {
       right_mem.push_back(row);
@@ -592,15 +595,19 @@ Status JoinOutOfCore(SpillContext* ctx, ThreadPool* pool,
     // Fast path: the right side fits; probe left rows as they stream.
     JoinTable table = BuildJoinTable(right_mem, right_idx);
     SeqError probe_err;
+    Record combined;
+    // dbfa:hot-loop-begin -- per-row hash probe; no per-row std::string
+    // construction allowed (see tools/dbfa_lint rule hot-loop-string).
     DBFA_RETURN_IF_ERROR(left([&](uint64_t seq, const Record& row) {
       if (probe_err.has) return Status::Ok();  // drain: left errors first
       Status s = ProbeJoinRow(row, left_idx, table, right_mem, fused_where,
-                              [out](Record combined) {
-                                return out->buffer.Add(std::move(combined));
+                              &combined, [out](Record& joined) {
+                                return out->buffer.Add(std::move(joined));
                               });
       if (!s.ok()) probe_err.Note(seq, std::move(s));
       return Status::Ok();
     }));
+    // dbfa:hot-loop-end
     if (probe_err.has) return std::move(probe_err.status);
     return out->buffer.Finish();
   }
@@ -618,7 +625,7 @@ Status JoinOutOfCore(SpillContext* ctx, ThreadPool* pool,
   out->parts.reserve(parts.size());
   for (size_t p = 0; p < parts.size(); ++p) out->parts.emplace_back(ctx);
   std::vector<SeqError> errs(parts.size());
-  DBFA_RETURN_IF_ERROR(ForEachBatch(pool, parts.size(), [&](size_t p) {
+  DBFA_RETURN_IF_ERROR(ForEachPartition(pool, parts.size(), [&](size_t p) {
     DBFA_RETURN_IF_ERROR(JoinPartition(
         ctx, parts[p].left->file(), parts[p].right->file(),
         parts[p].right_bytes, /*parent_right_bytes=*/SIZE_MAX, left_idx,
@@ -636,14 +643,14 @@ Status JoinOutOfCore(SpillContext* ctx, ThreadPool* pool,
 
 // ---- Spillable aggregation ----------------------------------------------
 //
-// Replays the batched engine's result bit-for-bit: every group keeps one
-// partial accumulator set per batch index (seq / batch_rows) and folds
-// them in batch order at emit time, so double-precision sums re-associate
-// exactly like the in-memory merge of per-batch partials. The group's
-// representative row is its first row in seq order — what the in-memory
-// batch-order merge picks. Rows partition by group-key hash (a group never
-// splits), each partition emits its groups key-sorted, and the key-disjoint
-// partition outputs merge by key into the global emission order.
+// Every group keeps one partial accumulator set per batch index
+// (seq / batch_rows) and folds them in batch order at emit time, so
+// double-precision sums re-associate on the fixed batch grid whether the
+// table stayed in memory or was re-partitioned — results are bit-identical
+// at every budget. The group's representative row is its first row in seq
+// order. Rows partition by group-key hash (a group never splits), each
+// partition emits its groups key-sorted, and the key-disjoint partition
+// outputs merge by key into the global emission order.
 
 // (group key, output row) pairs, key-sorted. Aggregation output is part of
 // the final result, which the budget exempts (docs/spilling.md).
@@ -666,10 +673,42 @@ size_t GroupPartBytes(size_t items) {
   return items * sizeof(Accumulator) + 48;
 }
 
+using GroupTable = std::unordered_map<Record, AggGroup, RecordHasher, RecordEq>;
+
+/// Folds row `seq` into its group's partial for batch seq / batch_rows,
+/// charging new groups (bounded queries only) and new partials to *est.
+/// `key` is caller-owned scratch reused across rows, so a row of an
+/// existing group allocates nothing.
+Status FoldRow(const SpillContext& ctx, const sql::SelectStmt& stmt,
+               const AggPlan& plan, size_t batch_rows, uint64_t seq,
+               const Record& row, GroupTable* groups, Record* key,
+               size_t* est) {
+  DBFA_RETURN_IF_ERROR(MakeGroupKey(stmt, plan, row, key));
+  auto it = groups->find(*key);
+  if (it == groups->end()) {
+    it = groups->try_emplace(*key).first;
+    it->second.rep = row;
+    if (ctx.bounded()) *est += GroupBaseBytes(it->first, it->second.rep);
+  }
+  std::map<uint64_t, std::vector<Accumulator>>& parts = it->second.parts;
+  const uint64_t batch = seq / batch_rows;
+  // Rows stream in ascending seq order, so the batch is the group's newest
+  // partial or goes right after it: the end hint makes both O(1).
+  auto pit = parts.empty() ? parts.end() : std::prev(parts.end());
+  if (pit == parts.end() || pit->first != batch) {
+    size_t before = parts.size();
+    pit = parts.try_emplace(parts.end(), batch);
+    if (parts.size() != before) {
+      pit->second.resize(stmt.items.size());
+      *est += GroupPartBytes(stmt.items.size());
+    }
+  }
+  return AccumulateRow(stmt, plan, row, &pit->second);
+}
+
 Status EmitPartitionGroups(const sql::SelectStmt& stmt, const AggPlan& plan,
-                           std::unordered_map<Record, AggGroup, RecordHasher,
-                                              RecordEq>* groups,
-                           GroupRows* out, KeyError* emit_err) {
+                           GroupTable* groups, GroupRows* out,
+                           KeyError* emit_err) {
   std::vector<std::pair<const Record*, AggGroup*>> ordered;
   ordered.reserve(groups->size());
   // dbfa-lint: allow(unordered-iter): feeds the CompareRecords sort below.
@@ -721,32 +760,19 @@ Status AggregatePartition(SpillContext* ctx, const SpillFile& file,
                           const AggPlan& plan, size_t batch_rows,
                           uint64_t seed, int depth, GroupRows* out,
                           SeqError* acc_err, KeyError* emit_err) {
-  std::unordered_map<Record, AggGroup, RecordHasher, RecordEq> groups;
+  GroupTable groups;
   size_t est = 0;
   bool repartition = false;
   {
     DBFA_ASSIGN_OR_RETURN(RunReader r, RunReader::Open(file, /*tagged=*/true));
     Record row;
+    Record key;
     uint64_t seq = 0;
     while (true) {
       DBFA_ASSIGN_OR_RETURN(bool more, r.Next(&seq, &row));
       if (!more) break;
-      Record key;
-      Status s = MakeGroupKey(stmt, plan, row, &key);
-      if (s.ok()) {
-        auto [it, inserted] = groups.try_emplace(std::move(key));
-        AggGroup& g = it->second;
-        if (inserted) {
-          g.rep = row;
-          est += GroupBaseBytes(it->first, g.rep);
-        }
-        auto [pit, part_new] = g.parts.try_emplace(seq / batch_rows);
-        if (part_new) {
-          pit->second.resize(stmt.items.size());
-          est += GroupPartBytes(stmt.items.size());
-        }
-        s = AccumulateRow(stmt, plan, row, &pit->second);
-      }
+      Status s = FoldRow(*ctx, stmt, plan, batch_rows, seq, row, &groups,
+                         &key, &est);
       if (!s.ok()) {
         acc_err->Note(seq, std::move(s));
         return Status::Ok();
@@ -808,45 +834,37 @@ Status AggregateOutOfCore(SpillContext* ctx, ThreadPool* pool,
                           const sql::SelectStmt& stmt, const AggPlan& plan,
                           const RowSource& rows, size_t batch_rows,
                           const std::function<Status(Record&&)>& emit) {
-  if (batch_rows == 0) batch_rows = 1024;  // MakeBatches' normalization
+  if (batch_rows == 0) batch_rows = 1024;
 
   // Pass 1 (optimistic): fold the whole input into one partial-accumulator
   // table — the same per-(group, batch) structure AggregatePartition keeps,
-  // so the emitted rows are bit-identical to the batched engine's. The
+  // so the emitted rows are bit-identical to the partitioned path's. The
   // input streams through without ever being buffered; only the group
-  // table counts against the budget. If the table outgrows the budget, or
-  // any row fails, the table is dropped and pass 2 replays the source
-  // through the general partitioned path, which re-derives any error with
-  // the exact batched ordering.
-  std::unordered_map<Record, AggGroup, RecordHasher, RecordEq> groups;
+  // table counts against the budget. Rows fold in seq order, so the first
+  // row that fails is the query's earliest failing row: its error is final
+  // once the source drains (an upstream scan error still wins). Only a
+  // table that outgrows the budget sends the query to pass 2, which
+  // replays the source through the general partitioned path — so an
+  // unbounded query, which has no spill manager, never gets there.
+  GroupTable groups;
+  Record key_scratch;
   size_t est = 0;
   size_t input_bytes = 0;  // total estimated input size, for pass-2 fanout
   bool partials_live = true;
+  SeqError fold_err;
   DBFA_RETURN_IF_ERROR(rows([&](uint64_t seq, const Record& row) {
-    input_bytes += sql::EstimateRecordMemoryBytes(row);
+    input_bytes += ctx->Charge(row);
     if (!partials_live) return Status::Ok();
-    Record key;
-    Status s = MakeGroupKey(stmt, plan, row, &key);
-    if (s.ok()) {
-      auto [it, inserted] = groups.try_emplace(std::move(key));
-      AggGroup& g = it->second;
-      if (inserted) {
-        g.rep = row;
-        est += GroupBaseBytes(it->first, g.rep);
-      }
-      auto [pit, part_new] = g.parts.try_emplace(seq / batch_rows);
-      if (part_new) {
-        pit->second.resize(stmt.items.size());
-        est += GroupPartBytes(stmt.items.size());
-      }
-      s = AccumulateRow(stmt, plan, row, &pit->second);
-    }
-    if (!s.ok() || est > ctx->budget) {
+    Status s = FoldRow(*ctx, stmt, plan, batch_rows, seq, row, &groups,
+                       &key_scratch, &est);
+    if (!s.ok()) fold_err.Note(seq, std::move(s));
+    if (fold_err.has || est > ctx->budget) {
       partials_live = false;
       groups.clear();
     }
     return Status::Ok();
   }));
+  if (fold_err.has) return std::move(fold_err.status);
 
   if (partials_live) {
     GroupRows merged;
@@ -895,7 +913,7 @@ Status AggregateOutOfCore(SpillContext* ctx, ThreadPool* pool,
   std::vector<GroupRows> outs(fanout);
   std::vector<SeqError> acc_errs(fanout);
   std::vector<KeyError> emit_errs(fanout);
-  DBFA_RETURN_IF_ERROR(ForEachBatch(pool, fanout, [&](size_t p) {
+  DBFA_RETURN_IF_ERROR(ForEachPartition(pool, fanout, [&](size_t p) {
     return AggregatePartition(ctx, writers[p].file(), part_bytes[p], stmt,
                               plan, batch_rows, /*seed=*/1, /*depth=*/1,
                               &outs[p], &acc_errs[p], &emit_errs[p]);
@@ -931,9 +949,9 @@ Status AggregateOutOfCore(SpillContext* ctx, ThreadPool* pool,
 // budget-exempt) and LIMIT truncates. With ORDER BY, rows buffer up to the
 // budget, each full buffer stable-sorts into a consecutive run, and runs
 // merge with ties broken by run index — which is exactly std::stable_sort
-// over the whole input, the batched engine's sort. ORDER BY resolution
+// over the whole input, the unbounded query's sort. ORDER BY resolution
 // failures are deferred to Finish so row-level errors upstream surface
-// first, matching the batched engine's error ordering.
+// first.
 
 class FinalCollector {
  public:
@@ -947,12 +965,14 @@ class FinalCollector {
   }
 
   Status Add(Record row) {
-    if (sorting_ && !resolve_status_.ok()) {
-      return Status::Ok();  // query fails at Finish; don't buffer
+    if (!sorting_) {
+      mem_.push_back(std::move(row));
+      return Status::Ok();
     }
-    mem_bytes_ += sql::EstimateRecordMemoryBytes(row);
+    if (!resolve_status_.ok()) return Status::Ok();  // fails at Finish
+    mem_bytes_ += ctx_->Charge(row);
     mem_.push_back(std::move(row));
-    if (sorting_ && mem_bytes_ > ctx_->budget) return SpillSortedRun();
+    if (mem_bytes_ > ctx_->budget) return SpillSortedRun();
     return Status::Ok();
   }
 
@@ -1075,8 +1095,13 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
                                     const RelationResolver& lookup,
                                     const MetaQueryOptions& options,
                                     ThreadPool* pool, SpillStats* stats) {
-  SpillManager manager(options.spill_dir);
-  SpillContext ctx{&manager, options.memory_budget_bytes,
+  // Budget 0 never spills: no manager (so no spill directory), an
+  // infinite budget, and no per-row footprint accounting.
+  std::optional<SpillManager> manager;
+  if (options.memory_budget_bytes > 0) manager.emplace(options.spill_dir);
+  SpillContext ctx{manager.has_value() ? &*manager : nullptr,
+                   manager.has_value() ? options.memory_budget_bytes
+                                       : SIZE_MAX,
                    BlockTarget(options.memory_budget_bytes)};
   // Run the pipeline in a lambda so spill stats can be captured on every
   // exit path before ~SpillManager removes the files.
@@ -1087,8 +1112,9 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
   // only when its optimistic single-pass table outgrows the budget.
   // Downstream per-row errors (probe, WHERE, projection) are deferred
   // until the upstream source finishes so that upstream errors keep the
-  // precedence they have in the batched engine, where every stage input
-  // is materialized before the stage runs.
+  // precedence they would have if every stage input were materialized
+  // before the stage runs (the reference semantics the differential
+  // oracle checks).
   auto result = [&]() -> Result<QueryTable> {
     // ---- FROM: a replayable scan source ----------------------------
     DBFA_ASSIGN_OR_RETURN(auto base, lookup(stmt.from.table));
@@ -1098,29 +1124,42 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
       uint64_t seq = 0;
       return base->Scan([&](const Record& r) { return fn(seq++, r); });
     };
+    // A plan error (unknown relation or column, unbindable expression) is
+    // reported only after the current source has been drained, so a scan
+    // error upstream of it wins, as when every stage input is materialized
+    // before the stage is planned.
+    auto after_source = [&source](Status plan_error) -> Status {
+      DBFA_RETURN_IF_ERROR(
+          source([](uint64_t, const Record&) { return Status::Ok(); }));
+      return plan_error;
+    };
 
     // ---- JOINs -----------------------------------------------------
     bool where_fused = false;
     std::vector<std::unique_ptr<JoinOutput>> join_outs;
     for (size_t j = 0; j < stmt.joins.size(); ++j) {
       const sql::JoinClause& join = stmt.joins[j];
-      DBFA_ASSIGN_OR_RETURN(auto right, lookup(join.table.table));
+      auto found = lookup(join.table.table);
+      if (!found.ok()) return after_source(found.status());
+      std::shared_ptr<Relation> right = std::move(found).value();
       FrameSet right_frame;
       right_frame.Add(join.table.EffectiveName(), right->columns());
       size_t left_idx = 0;
       size_t right_idx = 0;
-      DBFA_RETURN_IF_ERROR(
-          ResolveJoinColumns(frames, right_frame, join, &left_idx, &right_idx));
+      Status resolved =
+          ResolveJoinColumns(frames, right_frame, join, &left_idx, &right_idx);
+      if (!resolved.ok()) return after_source(std::move(resolved));
 
       sql::BoundExprPtr fused_where;
       if (j + 1 == stmt.joins.size() && stmt.where != nullptr) {
         FrameSet combined = frames;
         combined.Add(join.table.EffectiveName(), right->columns());
-        DBFA_ASSIGN_OR_RETURN(
-            fused_where,
+        auto bound =
             sql::BindExpr(*stmt.where, [&combined](std::string_view name) {
               return combined.Resolve(name);
-            }));
+            });
+        if (!bound.ok()) return after_source(bound.status());
+        fused_where = std::move(bound).value();
         where_fused = true;
       }
 
@@ -1140,13 +1179,15 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
     // ---- WHERE -----------------------------------------------------
     std::optional<RowBuffer> kept;
     if (stmt.where != nullptr && !where_fused) {
-      DBFA_ASSIGN_OR_RETURN(
-          sql::BoundExprPtr where,
-          sql::BindExpr(*stmt.where, [&frames](std::string_view name) {
-            return frames.Resolve(name);
-          }));
+      auto bound = sql::BindExpr(*stmt.where, [&frames](std::string_view name) {
+        return frames.Resolve(name);
+      });
+      if (!bound.ok()) return after_source(bound.status());
+      sql::BoundExprPtr where = std::move(bound).value();
       kept.emplace(&ctx);
       SeqError where_err;
+      // dbfa:hot-loop-begin -- per-row filter; no per-row std::string
+      // construction allowed (see tools/dbfa_lint rule hot-loop-string).
       DBFA_RETURN_IF_ERROR(source([&](uint64_t seq, const Record& row) {
         if (where_err.has) return Status::Ok();  // drain: scan errors win
         Result<bool> pass = sql::EvalBoundPredicate(*where, row);
@@ -1157,6 +1198,7 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
         if (pass.value()) return kept->Add(row);
         return Status::Ok();
       }));
+      // dbfa:hot-loop-end
       if (where_err.has) return std::move(where_err.status);
       DBFA_RETURN_IF_ERROR(kept->Finish());
       source = [&kept](const RowFn& fn) { return kept->ForEach(fn); };
@@ -1165,8 +1207,9 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
     // ---- Aggregation -----------------------------------------------
     if (stmt.HasAggregates() || !stmt.group_by.empty()) {
       std::vector<std::string> columns;
-      DBFA_ASSIGN_OR_RETURN(AggPlan plan,
-                            PlanAggregation(stmt, frames, &columns));
+      auto planned = PlanAggregation(stmt, frames, &columns);
+      if (!planned.ok()) return after_source(planned.status());
+      const AggPlan& plan = *planned;
       FinalCollector collector(&ctx, stmt, std::move(columns));
       DBFA_RETURN_IF_ERROR(AggregateOutOfCore(
           &ctx, pool, stmt, plan, source, options.batch_rows,
@@ -1178,8 +1221,9 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
 
     // ---- Projection ------------------------------------------------
     std::vector<std::string> columns;
-    DBFA_ASSIGN_OR_RETURN(ProjectionPlan plan,
-                          PlanProjection(stmt, frames, &columns));
+    auto planned = PlanProjection(stmt, frames, &columns);
+    if (!planned.ok()) return after_source(planned.status());
+    const ProjectionPlan& plan = *planned;
     FinalCollector collector(&ctx, stmt, std::move(columns));
     SeqError proj_err;
     DBFA_RETURN_IF_ERROR(source([&](uint64_t seq, const Record& row) {
@@ -1195,7 +1239,8 @@ Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
     if (proj_err.has) return std::move(proj_err.status);
     return collector.Finish();
   }();
-  if (stats != nullptr) *stats = manager.stats();
+  if (stats != nullptr) *stats = manager.has_value() ? manager->stats()
+                                                    : SpillStats{};
   return result;
 }
 

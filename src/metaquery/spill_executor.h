@@ -1,15 +1,17 @@
-// The out-of-core meta-query executor: the same logical pipeline as the
-// batched engine (scan -> join -> filter -> aggregate/project -> order/
-// limit), but every unbounded intermediate is governed by
-// MetaQueryOptions::memory_budget_bytes. Row sets that outgrow the budget
-// move to checksummed spill files (common/spill_manager.h); ORDER BY runs
-// an external merge sort, joins fall back to a recursive grace hash join,
-// and GROUP BY re-partitions oversized group tables.
+// The meta-query executor — the one engine behind MetaQuerySession. It
+// runs scan -> join -> filter -> aggregate/project -> order/limit as a
+// chain of streaming operators, with every column reference bound to a
+// flat index at plan time. Under MetaQueryOptions::memory_budget_bytes
+// every unbounded intermediate is governed by the budget: row sets that
+// outgrow it move to checksummed spill files (common/spill_manager.h),
+// ORDER BY runs an external merge sort, joins fall back to a recursive
+// grace hash join, and GROUP BY re-partitions oversized group tables.
+// Budget 0 never spills and skips all footprint accounting.
 //
-// The engine is bit-identical to the batched executor for every query, at
-// every (budget, thread count, batch size) combination — the construction
-// is documented in docs/spilling.md and enforced by the three-way
-// differential test.
+// Results are bit-identical for every query at every (budget, thread
+// count, batch size) combination — the construction is documented in
+// docs/spilling.md and enforced by the differential test against the
+// tuple-at-a-time reference oracle in tests/oracles/.
 #ifndef DBFA_METAQUERY_SPILL_EXECUTOR_H_
 #define DBFA_METAQUERY_SPILL_EXECUTOR_H_
 
@@ -20,10 +22,11 @@
 
 namespace dbfa::metaquery_internal {
 
-/// Executes `stmt` under options.memory_budget_bytes (> 0). Spill files
-/// live in a unique directory under options.spill_dir (system temp when
-/// empty) and are removed on every exit path. When `stats` is non-null it
-/// receives the query's spill counters.
+/// Executes `stmt` under options.memory_budget_bytes (0 = unbounded).
+/// Spill files live in a unique directory under options.spill_dir (system
+/// temp when empty), created on the first spill and removed on every exit
+/// path. `pool`, when non-null, runs spilled partitions concurrently. When
+/// `stats` is non-null it receives the query's spill counters.
 Result<QueryTable> ExecuteOutOfCore(const sql::SelectStmt& stmt,
                                     const RelationResolver& lookup,
                                     const MetaQueryOptions& options,

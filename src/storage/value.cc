@@ -1,5 +1,6 @@
 #include "storage/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -104,7 +105,17 @@ std::string Value::ToString() const {
 
 std::string Value::ToSqlLiteral() const {
   if (type() == ValueType::kString) return SqlQuote(as_string());
-  return ToString();
+  if (type() != ValueType::kDouble || !std::isfinite(as_double())) {
+    return ToString();
+  }
+  // Shortest text that parses back to the identical double, kept
+  // recognisably floating-point: the tokenizer reads "5673" as an INT
+  // literal, so a whole-number double gains ".0".
+  char buf[32];
+  char* end = std::to_chars(buf, buf + sizeof(buf), as_double()).ptr;
+  std::string out(buf, end);
+  if (out.find_first_of(".e") == std::string::npos) out += ".0";
+  return out;
 }
 
 size_t Value::Hash() const {

@@ -97,7 +97,10 @@ class Value {
   void AppendDisplayTo(std::string* out) const;
   /// Exact length AppendDisplayTo would append, without allocating.
   size_t DisplayWidth() const;
-  /// SQL literal form: NULL, 42, 3.14, 'abc' (quoted/escaped).
+  /// SQL literal form: NULL, 42, 3.14, 5673.0, 'abc' (quoted/escaped).
+  /// Parsing the literal yields this value back with its type: finite
+  /// doubles use the shortest round-trip digits and always carry a '.' or
+  /// an exponent.
   std::string ToSqlLiteral() const;
 
   /// Stable hash for hash joins and duplicate detection. Strings hash by

@@ -1,22 +1,24 @@
-// Differential suite, three ways: the tuple-at-a-time reference executor
-// is the oracle, and both the batched engine (several thread counts and
-// batch sizes) and the out-of-core engine (budgets from 4 KB to 1 MB —
-// every operator forced to spill — across thread counts) must reproduce
-// its results exactly — same column names, same rows, same order, same
-// value types, bit-identical doubles. Runs under the `sanitize` CTest
-// label so TSan sees the parallel operators with real thread
+// Differential suite: the tuple-at-a-time reference executor
+// (tests/oracles/metaquery_reference.h) is the oracle, and the session's
+// one engine must reproduce its results exactly — same column names, same
+// rows, same order, same value types, bit-identical doubles — at every
+// point of the grid budgets {unbounded, 4 KB, 64 KB, 1 MB} x threads
+// {1, 2, 8} x batch sizes {64, 1024}. 4 KB spills every operator on these
+// tables; 1 MB spills almost nothing. Runs under the `sanitize` CTest
+// label so TSan sees the parallel partition operators with real thread
 // interleavings, and under `spill` for the low-budget CI job.
 //
 // Double-valued columns only hold multiples of 0.25 in a small range, so
-// every SUM/AVG is exact in binary floating point and batched
-// re-association cannot introduce rounding differences (the engine's
-// FP-determinism contract is batch-geometry-fixed ordering, not
+// every SUM/AVG is exact in binary floating point and the engine's
+// per-batch re-association cannot introduce rounding differences (the
+// engine's FP-determinism contract is batch-geometry-fixed ordering, not
 // re-association-freedom; see docs/metaquery_engine.md).
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/strings.h"
 #include "metaquery/session.h"
+#include "oracles/metaquery_reference.h"
 
 namespace dbfa {
 namespace {
@@ -169,9 +171,7 @@ class MetaQueryDifferentialTest : public ::testing::Test {
     auto t1 = MakeT1(&rng, t1_rows);
     auto t2 = MakeT2(&rng, t2_rows, 6);
 
-    MetaQueryOptions ref_options;
-    ref_options.use_reference = true;
-    MetaQuerySession reference(ref_options);
+    oracle::ReferenceCatalog reference;
     reference.Register("T1", t1);
     reference.Register("T2", t2);
 
@@ -190,113 +190,25 @@ class MetaQueryDifferentialTest : public ::testing::Test {
       auto expected = reference.Query(query);
       ASSERT_TRUE(expected.ok())
           << query << ": " << expected.status().ToString();
-      for (size_t threads : {1u, 2u, 4u, 8u}) {
-        for (size_t batch_rows : {64u, 1024u}) {
-          MetaQueryOptions options;
-          options.num_threads = threads;
-          options.batch_rows = batch_rows;
-          MetaQuerySession session(options);
-          session.Register("T1", t1);
-          session.Register("T2", t2);
-          auto actual = session.Query(query);
-          ASSERT_TRUE(actual.ok())
-              << query << ": " << actual.status().ToString();
-          ExpectSameTable(*expected, *actual,
-                          StrFormat("[threads=%zu batch=%zu] %s", threads,
-                                    batch_rows, query.c_str()));
-        }
-      }
-      // Columnar leg: the batched runs above execute with the columnar
-      // WHERE filter enabled (the default); the same grid with the
-      // columnar kernels forced off must produce the identical table, so
-      // any divergence between the two filter implementations is caught
-      // here query-by-query. 8 threads stresses engagement bookkeeping
-      // under real interleavings (this suite runs under TSan).
-      for (size_t threads : {1u, 2u, 8u}) {
-        for (size_t batch_rows : {64u, 1024u}) {
-          MetaQueryOptions options;
-          options.num_threads = threads;
-          options.batch_rows = batch_rows;
-          options.columnar_filter = false;
-          MetaQuerySession session(options);
-          session.Register("T1", t1);
-          session.Register("T2", t2);
-          auto actual = session.Query(query);
-          ASSERT_TRUE(actual.ok())
-              << query << ": " << actual.status().ToString();
-          ExpectSameTable(*expected, *actual,
-                          StrFormat("[columnar=off threads=%zu batch=%zu] %s",
-                                    threads, batch_rows, query.c_str()));
-          EXPECT_EQ(session.last_batch_stats().columnar_batches, 0u) << query;
-        }
-      }
-      // Out-of-core engine: 4 KB spills every operator on these tables,
-      // 1 MB spills almost nothing; all budgets must agree with the
-      // unlimited runs above at every thread count.
-      for (size_t budget : {4096u, 65536u, 1048576u}) {
+      for (size_t budget : {0u, 4096u, 65536u, 1048576u}) {
         for (size_t threads : {1u, 2u, 8u}) {
-          MetaQueryOptions options;
-          options.num_threads = threads;
-          options.batch_rows = 64;
-          options.memory_budget_bytes = budget;
-          MetaQuerySession session(options);
-          session.Register("T1", t1);
-          session.Register("T2", t2);
-          auto actual = session.Query(query);
-          ASSERT_TRUE(actual.ok())
-              << query << ": " << actual.status().ToString();
-          ExpectSameTable(*expected, *actual,
-                          StrFormat("[budget=%zu threads=%zu] %s", budget,
-                                    threads, query.c_str()));
-        }
-      }
-      // spill_policy three ways: kNever pins the in-memory engine even
-      // under a budget, kAuto routes by estimated working set — and both
-      // must agree with the oracle whatever engine they land on.
-      for (SpillPolicy policy : {SpillPolicy::kNever, SpillPolicy::kAuto}) {
-        for (size_t budget : {4096u, 1u << 28}) {
-          MetaQueryOptions options;
-          options.num_threads = 2;
-          options.batch_rows = 64;
-          options.memory_budget_bytes = budget;
-          options.spill_policy = policy;
-          MetaQuerySession session(options);
-          session.Register("T1", t1);
-          session.Register("T2", t2);
-          auto actual = session.Query(query);
-          ASSERT_TRUE(actual.ok())
-              << query << ": " << actual.status().ToString();
-          ExpectSameTable(
-              *expected, *actual,
-              StrFormat("[policy=%d budget=%zu] %s",
-                        static_cast<int>(policy), budget, query.c_str()));
-          if (policy == SpillPolicy::kNever) {
-            EXPECT_STREQ(session.last_engine(), "batched") << query;
-          } else if (budget == (1u << 28)) {
-            // These tables are far under 128 MB; kAuto must stay in memory.
-            EXPECT_STREQ(session.last_engine(), "batched") << query;
-          } else if (t1->EstimatedBytes().value_or(0) > budget) {
-            // Every query reads T1, so the working set alone overruns the
-            // tight budget; kAuto must engage the out-of-core engine.
-            EXPECT_STREQ(session.last_engine(), "out-of-core") << query;
+          for (size_t batch_rows : {64u, 1024u}) {
+            MetaQueryOptions options;
+            options.num_threads = threads;
+            options.batch_rows = batch_rows;
+            options.memory_budget_bytes = budget;
+            MetaQuerySession session(options);
+            session.Register("T1", t1);
+            session.Register("T2", t2);
+            auto actual = session.Query(query);
+            ASSERT_TRUE(actual.ok())
+                << query << ": " << actual.status().ToString();
+            ExpectSameTable(*expected, *actual,
+                            StrFormat("[budget=%zu threads=%zu batch=%zu] %s",
+                                      budget, threads, batch_rows,
+                                      query.c_str()));
           }
         }
-      }
-      {
-        // Spot-check the default batch geometry under the tightest budget.
-        MetaQueryOptions options;
-        options.num_threads = 2;
-        options.batch_rows = 1024;
-        options.memory_budget_bytes = 4096;
-        MetaQuerySession session(options);
-        session.Register("T1", t1);
-        session.Register("T2", t2);
-        auto actual = session.Query(query);
-        ASSERT_TRUE(actual.ok()) << query << ": "
-                                 << actual.status().ToString();
-        ExpectSameTable(*expected, *actual,
-                        StrFormat("[budget=4096 batch=1024] %s",
-                                  query.c_str()));
       }
     }
   }

@@ -1,9 +1,9 @@
 // Out-of-core engine tests: budget-fuzzed equivalence against the
-// unlimited in-memory engine, adversarial skew (join keys and groups that
+// unbounded (budget 0) run of the same engine, adversarial skew (join keys and groups that
 // hash-partitioning cannot split), the 8x-over-budget join+aggregation
 // acceptance shape, spill accounting, error parity, and temp-file hygiene
 // — the spill directory must be empty after every query, including one
-// aborted by a mid-scan failure.
+// aborted by a mid-scan failure, and never created by an unbounded one.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -13,7 +13,11 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "core/carver.h"
+#include "engine/database.h"
 #include "metaquery/session.h"
+#include "oracles/metaquery_reference.h"
+#include "storage/dialects.h"
 
 namespace dbfa {
 namespace {
@@ -264,59 +268,11 @@ TEST(MetaQuerySpillTest, SpillStatsReporting) {
   EXPECT_FALSE(session->last_spill_stats().spilled());
   EXPECT_EQ(session->last_spill_stats().files_created, 0u);
 
-  // ...and the in-memory engine always reports zeros.
+  // ...and an unbounded query always reports zeros.
   options.memory_budget_bytes = 0;
   session->set_options(options);
   ASSERT_TRUE(session->Query("SELECT id, d FROM fact ORDER BY d").ok());
   EXPECT_FALSE(session->last_spill_stats().spilled());
-}
-
-TEST(MetaQuerySpillTest, SpillPolicyRoutesEngineByWorkingSet) {
-  Rng rng(19);
-  auto fact = MakeFact(&rng, 800, 8);
-  auto dim = MakeDim(&rng, 100, 8);
-  const std::string query = "SELECT id, d FROM fact ORDER BY d";
-
-  // kAlways (the default) preserves the pre-policy contract: any budget
-  // routes out-of-core.
-  MetaQueryOptions options;
-  options.memory_budget_bytes = size_t{64} << 20;
-  std::unique_ptr<MetaQuerySession> session = MakeSession(fact, dim, options);
-  ASSERT_TRUE(session->Query(query).ok());
-  EXPECT_STREQ(session->last_engine(), "out-of-core");
-
-  // kNever pins the in-memory engine even under a tight budget.
-  options.memory_budget_bytes = 4096;
-  options.spill_policy = SpillPolicy::kNever;
-  session->set_options(options);
-  ASSERT_TRUE(session->Query(query).ok());
-  EXPECT_STREQ(session->last_engine(), "batched");
-
-  // kAuto compares the estimated working set against the budget: the same
-  // query spills under 4 KB and stays in memory under 64 MB.
-  options.spill_policy = SpillPolicy::kAuto;
-  session->set_options(options);
-  ASSERT_TRUE(session->Query(query).ok());
-  EXPECT_STREQ(session->last_engine(), "out-of-core");
-  EXPECT_TRUE(session->last_spill_stats().spilled());
-
-  options.memory_budget_bytes = size_t{64} << 20;
-  session->set_options(options);
-  ASSERT_TRUE(session->Query(query).ok());
-  EXPECT_STREQ(session->last_engine(), "batched");
-
-  // A join under kAuto sums both inputs' estimates.
-  options.memory_budget_bytes = 4096;
-  session->set_options(options);
-  ASSERT_TRUE(
-      session->Query("SELECT fact.id, dim.w FROM fact JOIN dim "
-                     "ON fact.k = dim.k ORDER BY fact.id, dim.w LIMIT 10")
-          .ok());
-  EXPECT_STREQ(session->last_engine(), "out-of-core");
-
-  // Unknown relations fall through to the executor's error path with the
-  // conservative (spill) choice — never a crash.
-  EXPECT_FALSE(session->Query("SELECT * FROM missing").ok());
 }
 
 TEST(MetaQuerySpillTest, SpillDirEmptyAfterSuccess) {
@@ -337,6 +293,68 @@ TEST(MetaQuerySpillTest, SpillDirEmptyAfterSuccess) {
   EXPECT_TRUE(session->last_spill_stats().spilled());
   EXPECT_EQ(DirEntries(spill_root), 0u)
       << "spill files survived a successful query";
+}
+
+TEST(MetaQuerySpillTest, UnboundedQueryNeverTouchesSpillDir) {
+  // Budget 0 means "never spill": a join + aggregation + ORDER BY over a
+  // carve far larger than any spill block creates no spill directory and
+  // reports all-zero spill stats, even with partition threads configured.
+  auto db = Database::Open(DatabaseOptions{});
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)
+                  ->ExecuteSql("CREATE TABLE Product (PID INT NOT NULL, "
+                               "Name VARCHAR(24), Price DOUBLE, "
+                               "PRIMARY KEY (PID))")
+                  .ok());
+  for (int i = 1; i <= 3000;) {
+    std::string sql = "INSERT INTO Product VALUES ";
+    for (int j = 0; j < 500 && i <= 3000; ++j, ++i) {
+      if (j > 0) sql += ", ";
+      sql += StrFormat("(%d, 'product-%06d', %d.5)", i, i, i % 97);
+    }
+    ASSERT_TRUE((*db)->ExecuteSql(sql).ok());
+  }
+  ASSERT_TRUE((*db)->ExecuteSql("DELETE FROM Product WHERE PID < 600").ok());
+  auto image = (*db)->SnapshotDisk();
+  ASSERT_TRUE(image.ok());
+  CarverConfig config;
+  config.params = GetDialect((*db)->params().dialect).value();
+  auto carve = Carver(config).Carve(*image);
+  ASSERT_TRUE(carve.ok());
+
+  const std::string query =
+      "SELECT A.RowStatus, COUNT(*) AS n, SUM(B.Price) AS total "
+      "FROM CarvProduct AS A JOIN CarvProduct AS B ON A.PID = B.PID "
+      "GROUP BY A.RowStatus ORDER BY n DESC";
+  std::string spill_root =
+      (fs::path(::testing::TempDir()) / "spill_unbounded").string();
+  fs::remove_all(spill_root);
+
+  MetaQueryOptions options;
+  options.num_threads = 4;
+  options.spill_dir = spill_root;
+  MetaQuerySession session(options);
+  ASSERT_TRUE(session.RegisterCarve(*carve, "Carv").ok());
+  auto unbounded = session.Query(query);
+  ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+  const SpillStats& stats = session.last_spill_stats();
+  EXPECT_EQ(stats.files_created, 0u);
+  EXPECT_EQ(stats.blocks_written, 0u);
+  EXPECT_EQ(stats.bytes_written, 0u);
+  EXPECT_EQ(stats.blocks_read, 0u);
+  EXPECT_EQ(stats.bytes_read, 0u);
+  EXPECT_FALSE(fs::exists(spill_root)) << "budget 0 created a spill dir";
+
+  // The same query under a tight budget writes more than one maximal
+  // (64 KB) spill block — the carve is big enough to spill — and agrees
+  // with the unbounded result.
+  options.memory_budget_bytes = 4096;
+  session.set_options(options);
+  auto bounded = session.Query(query);
+  ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+  EXPECT_GT(session.last_spill_stats().bytes_written, 65536u);
+  ExpectSameTable(*unbounded, *bounded, "budget=4096 vs unbounded");
+  EXPECT_EQ(DirEntries(spill_root), 0u);
 }
 
 TEST(MetaQuerySpillTest, SpillDirEmptyAfterMidQueryFailure) {
@@ -366,6 +384,47 @@ TEST(MetaQuerySpillTest, SpillDirEmptyAfterMidQueryFailure) {
       << "spill files survived an aborted query";
 }
 
+TEST(MetaQuerySpillTest, ScanErrorBeatsPlanErrorAtEveryBudget) {
+  // A query that is both invalid and reads a relation whose scan fails
+  // reports the scan error, as the reference oracle (which scans before it
+  // plans) does, at every budget.
+  Rng rng(29);
+  auto fact = std::make_shared<FailingRelation>(MakeFact(&rng, 600, 8),
+                                                /*fail_after=*/300);
+  auto dim = MakeDim(&rng, 100, 8);
+  std::vector<std::string> bad_queries = {
+      "SELECT nope, COUNT(*) AS n FROM fact GROUP BY nope",
+      "SELECT nope FROM fact",
+      "SELECT fact.id FROM fact WHERE nope = 1",
+      "SELECT nope, COUNT(*) AS n FROM fact JOIN dim ON fact.k = dim.k "
+      "GROUP BY nope",
+      "SELECT fact.id FROM fact JOIN dim ON fact.k = dim.k "
+      "JOIN dim AS d2 ON fact.zz = d2.qq",
+      "SELECT fact.id FROM fact JOIN dim ON fact.k = dim.k "
+      "JOIN missing_table ON fact.k = missing_table.k",
+  };
+  oracle::ReferenceCatalog reference;
+  reference.Register("fact", fact);
+  reference.Register("dim", dim);
+  for (size_t budget : {0u, 4096u}) {
+    MetaQueryOptions options;
+    options.memory_budget_bytes = budget;
+    std::unique_ptr<MetaQuerySession> session =
+        MakeSession(fact, dim, options);
+    for (const std::string& query : bad_queries) {
+      auto actual = session->Query(query);
+      ASSERT_FALSE(actual.ok()) << query;
+      EXPECT_EQ(actual.status().ToString(),
+                Status::IoError("injected scan fault").ToString())
+          << "budget " << budget << ": " << query;
+      auto expected = reference.Query(query);
+      ASSERT_FALSE(expected.ok()) << query;
+      EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
+          << query;
+    }
+  }
+}
+
 TEST(MetaQuerySpillTest, ErrorParityWithInMemoryEngine) {
   Rng rng(23);
   auto fact = MakeFact(&rng, 600, 8);
@@ -375,18 +434,30 @@ TEST(MetaQuerySpillTest, ErrorParityWithInMemoryEngine) {
       "SELECT nope, COUNT(*) AS n FROM fact GROUP BY nope",
       "SELECT fact.id FROM fact JOIN dim ON fact.zz = dim.qq",
       "SELECT id FROM missing_table",
+      // Row-level aggregation errors: s is a string column.
+      "SELECT g, SUM(s + 1) AS t FROM fact GROUP BY g",
+      "SELECT SUM(ABS(s)) AS t FROM fact",
+      "SELECT dim.label, SUM(fact.s + 1) AS t FROM fact JOIN dim "
+      "ON fact.k = dim.k GROUP BY dim.label",
   };
+  // The unbounded and budgeted runs must fail exactly like the
+  // tuple-at-a-time reference oracle.
+  oracle::ReferenceCatalog reference;
+  reference.Register("fact", fact);
+  reference.Register("dim", dim);
   std::unique_ptr<MetaQuerySession> baseline = MakeSession(fact, dim, {});
   MetaQueryOptions options;
   options.memory_budget_bytes = 4096;
   std::unique_ptr<MetaQuerySession> spilled = MakeSession(fact, dim, options);
   for (const std::string& query : bad_queries) {
-    auto expected = baseline->Query(query);
-    auto actual = spilled->Query(query);
+    auto expected = reference.Query(query);
     ASSERT_FALSE(expected.ok()) << query;
-    ASSERT_FALSE(actual.ok()) << query;
-    EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
-        << query;
+    for (MetaQuerySession* session : {baseline.get(), spilled.get()}) {
+      auto actual = session->Query(query);
+      ASSERT_FALSE(actual.ok()) << query;
+      EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
+          << query;
+    }
   }
 }
 

@@ -267,6 +267,43 @@ TEST(RecoveryTest, PinpointsTamperingAndPreservesLaterWrites) {
             std::string::npos);
 }
 
+TEST(RecoveryTest, WholeNumberDoubleRestoresExactly) {
+  // The recovery script restores tampered DOUBLE cells through SQL
+  // literals: a whole-number claim (5673.0) must come back as a DOUBLE, not
+  // the INT 5673, and a claim with more than six significant digits
+  // (12345.67) must come back exactly, or Verify is not byte-identical.
+  auto db = OpenDb();
+  ASSERT_TRUE(db->ExecuteSql("CREATE TABLE Accounts (Id INT NOT NULL, "
+                             "Owner VARCHAR(24), City VARCHAR(16), "
+                             "Balance DOUBLE, PRIMARY KEY (Id))")
+                  .ok());
+  ASSERT_TRUE(db->ExecuteSql("INSERT INTO Accounts VALUES "
+                             "(1, 'Ann', 'Austin', 5673.0), "
+                             "(2, 'Bob', 'Boston', 12345.67), "
+                             "(3, 'Cy', 'Chicago', 10.5)")
+                  .ok());
+  ASSERT_TRUE(TamperOverwriteField(db.get(), "Accounts", FindRow(db.get(), 1),
+                                   "Balance", Value::Real(0.25))
+                  .ok());
+  ASSERT_TRUE(TamperOverwriteField(db.get(), "Accounts", FindRow(db.get(), 2),
+                                   "Balance", Value::Real(1.5))
+                  .ok());
+
+  auto carve = CarveDisk(db.get());
+  ASSERT_TRUE(carve.ok());
+  Reenactor reenactor(ConfigFor(*db));
+  RecoveryPlanner planner(reenactor);
+  auto script = planner.Plan(db->audit_log(), *carve);
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  ASSERT_EQ(script->corruptions.size(), 2u) << script->ToString();
+  auto verification = planner.Verify(*script, db->audit_log(), *carve);
+  ASSERT_TRUE(verification.ok()) << verification.status().ToString();
+  EXPECT_TRUE(verification->byte_identical)
+      << script->ToString() << "claimed:\n"
+      << verification->claimed_fingerprint << "recovered:\n"
+      << verification->recovered_fingerprint;
+}
+
 TEST(RecoveryTest, FleetAttackSurfacesInRecoveryDiff) {
   // FleetSimulator's Section III-A attack (unlogged INSERT) must show up
   // as extraneous rows; a clean fleet must recover to Clean() scripts.
