@@ -168,7 +168,7 @@ BENCHMARK(BM_CarveLargeImageParallel)
     ->Unit(benchmark::kMillisecond);
 
 void BM_CarveMultiConfigParallel(benchmark::State& state) {
-  // The multi-config scan with one task per (config, chunk).
+  // All eight dialect configs over one image on one shared pool.
   const PreparedImage& image = ImageForRows(4000);
   std::vector<CarverConfig> configs;
   for (const std::string& name : BuiltinDialectNames()) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "core/carver.h"
 #include "core/page_builder.h"
 #include "engine/database.h"
@@ -150,14 +151,17 @@ BENCHMARK(BM_ColdIngest)->Unit(benchmark::kMillisecond);
 /// Re-ingest of the next capture after a localized change: detection
 /// re-hashes every page but dedup skips probe + artifact decode for the
 /// unchanged ones, so only the changed pages pay full carve cost.
-void BM_WarmReingest(benchmark::State& state) {
+/// `num_threads` sizes the repository's pool (0 = hardware concurrency).
+void WarmReingest(benchmark::State& state, size_t num_threads) {
   const PreparedImages& images = Images();
+  CarveOptions options;
+  options.num_threads = num_threads;
   IngestStats last;
   std::unique_ptr<SnapshotRepo> repo;
   for (auto _ : state) {
     state.PauseTiming();
     repo.reset();
-    repo = SnapshotRepo::Create(FreshRepoDir(), BenchConfig()).value();
+    repo = SnapshotRepo::Create(FreshRepoDir(), BenchConfig(), options).value();
     if (!repo->Ingest(images.cold).ok()) state.SkipWithError("cold failed");
     state.ResumeTiming();
     auto stats = repo->Ingest(images.warm);
@@ -179,8 +183,22 @@ void BM_WarmReingest(benchmark::State& state) {
   state.counters["detect_ms"] = last.detect_seconds * 1e3;
   state.counters["catalog_ms"] = last.catalog_seconds * 1e3;
   state.counters["content_ms"] = last.content_seconds * 1e3;
+  state.counters["num_threads"] = static_cast<double>(
+      num_threads == 0 ? ThreadPool::HardwareThreads() : num_threads);
 }
+
+void BM_WarmReingest(benchmark::State& state) { WarmReingest(state, 0); }
 BENCHMARK(BM_WarmReingest)->Unit(benchmark::kMillisecond);
+
+/// The same at a fixed pool size (1 = inline detection and decode), so the
+/// scaling of the detection pass is visible on any host.
+void BM_WarmReingestThreads(benchmark::State& state) {
+  WarmReingest(state, static_cast<size_t>(state.range(0)));
+}
+BENCHMARK(BM_WarmReingestThreads)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -104,14 +104,13 @@ struct CarvedIndexMeta {
 };
 
 /// Lightweight carve metrics, populated by both `Carver` and
-/// `ParallelCarver`. Artifact outputs of the two carvers are identical;
-/// only `pages_probed` may be higher for the parallel carver, because chunk
-/// workers probe the full detection grid (they cannot skip accepted-page
-/// interiors the way the serial cursor does). Phase wall times for the
-/// parallel carver measure the whole concurrent wave.
+/// `ParallelCarver`. The counters are the serial scan's and equal for every
+/// thread count and chunk size (`pages_probed` is replayed from the serial
+/// cursor, not the number of grid probes a pool ran). Phase wall times for
+/// a pooled carve measure the whole concurrent wave.
 struct CarveStats {
   size_t bytes_scanned = 0;      // image bytes the detection pass covered
-  size_t pages_probed = 0;       // offsets where the magic test ran
+  size_t pages_probed = 0;       // offsets the serial cursor visits
   size_t pages_accepted = 0;     // offsets accepted as pages
   size_t checksum_failures = 0;  // accepted pages failing their checksum
   double detect_seconds = 0.0;   // pass 1: page detection

@@ -6,18 +6,13 @@
 #include <set>
 
 #include "common/strings.h"
+#include "common/timing.h"
 
 namespace dbfa {
 namespace {
 
 /// Sanity bounds for header fields of a candidate page.
 constexpr uint32_t kMaxPlausibleId = 1u << 24;
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 bool KnownPageType(uint8_t t) {
   return t == static_cast<uint8_t>(PageType::kData) ||
@@ -70,7 +65,7 @@ std::optional<CarvedPage> Carver::ProbePage(ByteView image,
   return carved;
 }
 
-Result<CarveResult> Carver::Carve(ByteView image) const {
+Result<CarveResult> Carver::Carve(ByteView image, ThreadPool* pool) const {
   const PageLayoutParams& p = config_.params;
   // A malformed parameter set (e.g. an oversized page_size or a header
   // field past header_size) would defeat the bounds reasoning below, so
@@ -84,21 +79,13 @@ Result<CarveResult> Carver::Carve(ByteView image) const {
     result.string_pool = std::make_shared<StringPool>();
   }
 
-  // Pass 1: page detection. Accepting a page advances the cursor by a full
-  // page so page-interior bytes are never re-interpreted as page starts.
+  // Pass 1: page detection.
   auto detect_start = std::chrono::steady_clock::now();
-  size_t step = options_.scan_step == 0 ? 512 : options_.scan_step;
-  size_t offset = 0;
-  while (offset + p.page_size <= image.size()) {
-    ++result.stats.pages_probed;
-    std::optional<CarvedPage> carved = ProbePage(image, offset);
-    if (!carved.has_value()) {
-      offset += step;
-      continue;
-    }
-    if (!carved->checksum_ok) ++result.stats.checksum_failures;
-    result.pages.push_back(*carved);
-    offset += p.page_size;
+  auto probe = [&](size_t offset) { return ProbePage(image, offset); };
+  result.pages = ScanPages<CarvedPage>(image, ScanParams(), pool, probe,
+                                       &result.stats.pages_probed);
+  for (const CarvedPage& page : result.pages) {
+    if (!page.checksum_ok) ++result.stats.checksum_failures;
   }
   result.stats.pages_accepted = result.pages.size();
   result.stats.detect_seconds = SecondsSince(detect_start);
@@ -108,10 +95,37 @@ Result<CarveResult> Carver::Carve(ByteView image) const {
   CarveCatalog(image, &result);
   result.stats.catalog_seconds = SecondsSince(catalog_start);
 
-  // Passes 3-4: content.
+  // Passes 3-4: content. One range decodes straight into the result; with
+  // a pool, contiguous page ranges decode concurrently and are appended in
+  // range order, which is the serial artifact order.
   auto content_start = std::chrono::steady_clock::now();
-  CarveContentRange(image, result, 0, result.pages.size(), &result.records,
-                    &result.index_entries);
+  size_t n_pages = result.pages.size();
+  size_t n_ranges =
+      pool == nullptr ? 1 : std::min(n_pages, pool->thread_count() * 4);
+  if (n_ranges <= 1) {
+    CarveContentRange(image, result, 0, n_pages, &result.records,
+                      &result.index_entries);
+  } else {
+    struct RangeOut {
+      std::vector<CarvedRecord> records;
+      std::vector<CarvedIndexEntry> entries;
+    };
+    size_t per_range = (n_pages + n_ranges - 1) / n_ranges;
+    std::vector<RangeOut> outs((n_pages + per_range - 1) / per_range);
+    pool->ParallelFor(outs.size(), [&](size_t r) {
+      CarveContentRange(image, result, r * per_range,
+                        std::min(n_pages, (r + 1) * per_range),
+                        &outs[r].records, &outs[r].entries);
+    });
+    for (RangeOut& out : outs) {
+      result.records.insert(result.records.end(),
+                            std::make_move_iterator(out.records.begin()),
+                            std::make_move_iterator(out.records.end()));
+      result.index_entries.insert(result.index_entries.end(),
+                                  std::make_move_iterator(out.entries.begin()),
+                                  std::make_move_iterator(out.entries.end()));
+    }
+  }
   result.stats.content_seconds = SecondsSince(content_start);
   return result;
 }
@@ -318,12 +332,12 @@ void Carver::CarveIndexPage(ByteView page, size_t page_index,
 
 Result<std::vector<CarveResult>> Carver::CarveMulti(
     ByteView image, const std::vector<CarverConfig>& configs,
-    CarveOptions options) {
+    CarveOptions options, ThreadPool* pool) {
   std::vector<CarveResult> results;
   results.reserve(configs.size());
   for (const CarverConfig& config : configs) {
     Carver carver(config, options);
-    DBFA_ASSIGN_OR_RETURN(CarveResult r, carver.Carve(image));
+    DBFA_ASSIGN_OR_RETURN(CarveResult r, carver.Carve(image, pool));
     results.push_back(std::move(r));
   }
   return results;

@@ -13,7 +13,9 @@
 //
 // Entries are decoded lazily and memoized, so reopening a large repository
 // costs one index scan, not a full artifact decode. Single-orchestrator
-// contract, like PageStore.
+// contract, like PageStore: lookups, reads and appends all come from the
+// orchestrating thread (ingest workers only decode pages into per-page
+// slots the orchestrator publishes afterwards).
 #ifndef DBFA_SNAPSHOT_ARTIFACT_CACHE_H_
 #define DBFA_SNAPSHOT_ARTIFACT_CACHE_H_
 

@@ -7,9 +7,12 @@
 // the fast reject (a brand-new page almost never has a stored CRC twin),
 // and only bucket hits pay the 128-bit strong-hash comparison.
 //
-// Single-orchestrator contract, like SpillManager: one thread opens,
-// queries and appends. Ingest workers decode from the *image*, never from
-// the store, so the store needs no locking.
+// Single-orchestrator contract, like SpillManager: one thread opens and
+// appends. During ingest's detection wave, pool workers may call the const
+// lookups (MaybeContains, Find) concurrently, but only while no append can
+// run: the orchestrator appends after the wave has drained. Workers decode
+// from the *image*, never from the store file, so the store needs no
+// locking.
 #ifndef DBFA_SNAPSHOT_PAGE_STORE_H_
 #define DBFA_SNAPSHOT_PAGE_STORE_H_
 

@@ -12,19 +12,15 @@
 
 #include "common/checksum.h"
 #include "common/strings.h"
+#include "common/timing.h"
 #include "core/config_io.h"
+#include "core/page_scan.h"
 
 namespace dbfa {
 namespace {
 
 constexpr const char* kRepoMetaHeader = "dbfa-snapshot-repo v1";
 constexpr const char* kManifestHeader = "dbfa-snapshot-manifest v1";
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 Status ReadTextFile(const std::string& path, std::string* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -688,53 +684,70 @@ Result<IngestStats> SnapshotRepo::Ingest(ByteView image) {
   snap.id = stats.snapshot_id;
   snap.image_size = image.size();
 
-  // Pass 1: store-accelerated page detection, replaying the serial cursor
-  // rule (accept advances by a full page). The accept decision is a pure
-  // function of the window's bytes, so a store hit — same bytes, accepted
-  // before — can reuse the stored metadata without re-probing.
-  auto detect_start = std::chrono::steady_clock::now();
-  size_t step = options_.scan_step == 0 ? 512 : options_.scan_step;
-  size_t page_estimate = image.size() / p.page_size;
-  result.pages.reserve(page_estimate);
-  snap.offsets.reserve(page_estimate);
-  snap.pages.reserve(page_estimate);
-  size_t offset = 0;
-  while (offset + p.page_size <= image.size()) {
-    ++result.stats.pages_probed;
+  // Pass 1: page detection through the shared page scan (parallel on the
+  // pool). The accept decision is a pure function of the window's bytes,
+  // so a store hit — same bytes, accepted before — reuses the stored
+  // metadata without re-probing. Each accepted window's CRC-32 and content
+  // hash are computed at most once and carried to the store append.
+  struct Candidate {
+    CarvedPage meta;
+    const PageStore::Stored* stored = nullptr;  // store hit, else nullptr
+    uint32_t crc = 0;
+    PageHash hash;
+  };
+  auto probe = [&](size_t offset) -> std::optional<Candidate> {
     const uint8_t* window = image.data() + offset;
     if (std::memcmp(window + p.magic_offset, p.magic.data(),
                     p.magic.size()) != 0) {
-      offset += step;
-      continue;
+      return std::nullopt;
     }
     ByteView page_bytes(window, p.page_size);
-    uint32_t crc = Crc32(page_bytes);
-    const PageStore::Stored* stored = nullptr;
-    if (page_store_->MaybeContains(crc)) {
-      stored = page_store_->Find(crc, HashBytes(page_bytes));
+    Candidate cand;
+    cand.crc = Crc32(page_bytes);
+    bool hashed = page_store_->MaybeContains(cand.crc);
+    if (hashed) {
+      cand.hash = HashBytes(page_bytes);
+      cand.stored = page_store_->Find(cand.crc, cand.hash);
     }
-    if (stored == nullptr) {
+    if (cand.stored != nullptr) {
+      cand.meta = cand.stored->entry.meta;
+    } else {
       std::optional<CarvedPage> carved = carver_.ProbePage(image, offset);
-      if (!carved.has_value()) {
-        offset += step;
-        continue;
-      }
-      PageStoreEntry entry;
-      entry.hash = HashBytes(page_bytes);
-      entry.crc = crc;
-      entry.meta = *carved;
+      if (!carved.has_value()) return std::nullopt;
+      cand.meta = *carved;
+      if (!hashed) cand.hash = HashBytes(page_bytes);
+    }
+    cand.meta.image_offset = offset;
+    return cand;
+  };
+  auto detect_start = std::chrono::steady_clock::now();
+  std::vector<Candidate> accepted = ScanPages<Candidate>(
+      image, carver_.ScanParams(), Pool(), probe, &result.stats.pages_probed);
+
+  // Store appends run here, serially in page order, so pages.bin and the
+  // manifest are identical for every thread count. A page new to the store
+  // that occurs twice in this capture is appended once; the second
+  // occurrence finds the first and counts as reused.
+  result.pages.reserve(accepted.size());
+  snap.offsets.reserve(accepted.size());
+  snap.pages.reserve(accepted.size());
+  for (Candidate& cand : accepted) {
+    const PageStore::Stored* stored = cand.stored;
+    size_t stored_before = page_store_->size();
+    if (stored == nullptr) {
+      PageStoreEntry entry{cand.hash, cand.crc, cand.meta};
+      ByteView page_bytes = image.Slice(cand.meta.image_offset, p.page_size);
       DBFA_ASSIGN_OR_RETURN(stored, page_store_->Put(entry, page_bytes));
+    }
+    if (page_store_->size() > stored_before) {
       ++stats.pages_new;
     } else {
       ++stats.pages_reused;
     }
-    CarvedPage meta = stored->entry.meta;
-    meta.image_offset = offset;
-    if (!meta.checksum_ok) ++result.stats.checksum_failures;
-    result.pages.push_back(meta);
-    snap.offsets.push_back(offset);
+    if (!cand.meta.checksum_ok) ++result.stats.checksum_failures;
+    snap.offsets.push_back(cand.meta.image_offset);
     snap.pages.push_back(stored);
-    offset += p.page_size;
+    result.pages.push_back(cand.meta);
   }
   result.stats.pages_accepted = result.pages.size();
   stats.pages_total = result.pages.size();

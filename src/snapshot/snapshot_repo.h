@@ -174,13 +174,15 @@ class SnapshotRepo {
   const ArtifactCache& artifact_cache() const { return *artifact_cache_; }
 
   /// Ingests one capture as the next snapshot (ids are 1, 2, ...).
-  /// Detection replays the serial carver's cursor: at each offset the page
-  /// magic is memcmp'd first, then CRC-32 fast-rejects against the store,
-  /// and only a CRC bucket hit pays the 128-bit hash — so a warm re-ingest
-  /// accepts unchanged pages without re-probing or re-verifying them, and
-  /// reuses their cached artifacts without decoding. New/changed pages are
-  /// decoded page-parallel on the worker pool; outputs are concatenated in
-  /// page order, so the result is identical for every thread count.
+  /// Detection is the carver's page scan (core/page_scan.h), run on the
+  /// worker pool with a store-aware probe: at each offset the page magic is
+  /// memcmp'd first, then CRC-32 fast-rejects against the store, and only
+  /// a CRC bucket hit pays the 128-bit hash — so a warm re-ingest accepts
+  /// unchanged pages without re-probing or re-verifying them, and reuses
+  /// their cached artifacts without decoding. Store appends follow in page
+  /// order on the calling thread; new/changed pages are decoded
+  /// page-parallel and published in page order, so the repository files
+  /// and IngestStats counters are identical for every thread count.
   Result<IngestStats> Ingest(ByteView image);
 
   /// Snapshots in ascending id order.
@@ -256,7 +258,8 @@ class SnapshotRepo {
   bool ContextFor(const CarveResult& base, const ContextSet& contexts,
                   size_t i, PageHash* context) const;
 
-  /// Worker pool for the content pass; nullptr when running inline.
+  /// Worker pool for ingest detection and the content pass; nullptr when
+  /// running inline.
   ThreadPool* Pool();
 
   std::string dir_;

@@ -1,9 +1,9 @@
-// Shared differential-test helper: asserts two CarveResults are
-// element-wise identical — every artifact collection, in order. Used to
-// prove ParallelCarver output equals serial Carver output for any thread
-// count / chunk size. Stats are intentionally NOT compared: wall times
-// differ run to run, and the parallel detector probes a superset of the
-// serial cursor's offsets.
+// Shared differential-test helpers: assert two CarveResults are
+// element-wise identical — every artifact collection, in order — and, for
+// two carves, that their CarveStats counters agree. Used to prove pooled
+// carves equal the serial Carver for any thread count / chunk size, and
+// that snapshot assembly reproduces a serial carve. Wall times are never
+// compared: they differ run to run.
 #ifndef DBFA_TESTS_CARVE_EQUIVALENCE_H_
 #define DBFA_TESTS_CARVE_EQUIVALENCE_H_
 
@@ -13,8 +13,10 @@
 
 namespace dbfa {
 
-inline void ExpectSameCarveResult(const CarveResult& expected,
-                                  const CarveResult& actual) {
+/// Artifacts only: the check for results that were not produced by a page
+/// scan (SnapshotRepo::AssembleCarve, whose stats time the assembly).
+inline void ExpectSameCarveArtifacts(const CarveResult& expected,
+                                     const CarveResult& actual) {
   EXPECT_EQ(expected.dialect, actual.dialect);
   EXPECT_EQ(expected.image_size, actual.image_size);
 
@@ -51,6 +53,17 @@ inline void ExpectSameCarveResult(const CarveResult& expected,
   EXPECT_EQ(expected.schemas, actual.schemas);
   EXPECT_EQ(expected.indexes, actual.indexes);
   EXPECT_EQ(expected.dropped_objects, actual.dropped_objects);
+}
+
+/// Artifacts plus the scan counters, which must not depend on the thread
+/// count or chunk size.
+inline void ExpectSameCarveResult(const CarveResult& expected,
+                                  const CarveResult& actual) {
+  ExpectSameCarveArtifacts(expected, actual);
+  EXPECT_EQ(expected.stats.bytes_scanned, actual.stats.bytes_scanned);
+  EXPECT_EQ(expected.stats.pages_probed, actual.stats.pages_probed);
+  EXPECT_EQ(expected.stats.pages_accepted, actual.stats.pages_accepted);
+  EXPECT_EQ(expected.stats.checksum_failures, actual.stats.checksum_failures);
 }
 
 /// Sanity conditions both carvers' stats must satisfy for `result`.

@@ -150,7 +150,7 @@ void RunSequence(const std::string& dialect, uint64_t seed, size_t threads,
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
     auto assembled = (*repo)->AssembleCarve(stats->snapshot_id);
     ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
-    ExpectSameCarveResult(*expected, *assembled);
+    ExpectSameCarveArtifacts(*expected, *assembled);
     if (round > 0) {
       // Dedup must actually engage across rounds: a handful of mutations
       // cannot produce a mostly-new image.

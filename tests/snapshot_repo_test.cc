@@ -139,7 +139,7 @@ TEST(SnapshotRepoTest, ColdIngestMatchesSerialCarve) {
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   auto assembled = (*repo)->AssembleCarve(1);
   ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
-  ExpectSameCarveResult(*serial, *assembled);
+  ExpectSameCarveArtifacts(*serial, *assembled);
 }
 
 TEST(SnapshotRepoTest, WarmReingestReusesPagesAndArtifacts) {
@@ -165,7 +165,7 @@ TEST(SnapshotRepoTest, WarmReingestReusesPagesAndArtifacts) {
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   auto assembled = (*repo)->AssembleCarve(2);
   ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
-  ExpectSameCarveResult(*serial, *assembled);
+  ExpectSameCarveArtifacts(*serial, *assembled);
 
   auto diff = (*repo)->Diff(1, 2);
   ASSERT_TRUE(diff.ok()) << diff.status().ToString();
@@ -190,7 +190,107 @@ TEST(SnapshotRepoTest, AssembleAfterReopenMatchesSerialCarve) {
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   auto assembled = (*reopened)->AssembleCarve(1);
   ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
-  ExpectSameCarveResult(*serial, *assembled);
+  ExpectSameCarveArtifacts(*serial, *assembled);
+}
+
+/// Whole-file contents, for byte-identity checks between repositories.
+std::string FileBytes(const fs::path& path) {
+  std::string out;
+  std::FILE* f = std::fopen(path.string().c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return out;
+  char buf[1 << 14];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
+
+/// The IngestStats counters (everything but the wall times).
+std::vector<size_t> IngestCounters(const IngestStats& s) {
+  return {static_cast<size_t>(s.snapshot_id), s.image_bytes, s.pages_total,
+          s.pages_reused, s.pages_new, s.artifacts_reused, s.artifacts_carved};
+}
+
+TEST(SnapshotRepoTest, IngestIsIdenticalForEveryThreadCountAndChunkSize) {
+  CarverConfig config = ConfigFor("postgres_like");
+  size_t page_size = config.params.page_size;
+  auto db = PopulatedDb("postgres_like", 150);
+  Bytes v1 = CaptureImage(db.get(), 61);
+
+  // A page no earlier capture holds (one byte of a real page flipped, so
+  // its checksum fails but its header still passes detection), twice.
+  auto v1_carve = Carver(config).Carve(v1);
+  ASSERT_TRUE(v1_carve.ok()) << v1_carve.status().ToString();
+  ASSERT_GT(v1_carve->pages.size(), 2u);
+  size_t src = v1_carve->pages[2].image_offset;
+  Bytes fresh(v1.begin() + static_cast<ptrdiff_t>(src),
+              v1.begin() + static_cast<ptrdiff_t>(src + page_size));
+  fresh[page_size - 1] ^= 0x5A;
+  Rng rng(67);
+  DiskImageBuilder twice;
+  twice.AppendGarbage(512 * 2, &rng);
+  twice.AppendFile("copy1", fresh);
+  twice.AppendGarbage(512 * 3, &rng);
+  twice.AppendFile("copy2", fresh);
+  Bytes doubled = twice.TakeBytes();
+
+  ASSERT_TRUE(db->ExecuteSql("DELETE FROM Customer WHERE Id > 100").ok());
+  Bytes v2 = CaptureImage(db.get(), 61);
+  const std::vector<Bytes> captures = {v1, doubled, v2, v2};
+
+  struct Run {
+    std::string label;
+    fs::path dir;
+    std::vector<std::vector<size_t>> counters;  // per ingest
+  };
+  std::vector<Run> runs;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (size_t chunk_pages : {size_t{1}, size_t{3}, size_t{0}}) {
+      Run run;
+      run.label = StrFormat("threads=%zu chunk=%zu", threads, chunk_pages);
+      SCOPED_TRACE(run.label);
+      run.dir = RepoDir(StrFormat("snap_par_%zu_%zu", threads, chunk_pages));
+      CarveOptions options;
+      options.num_threads = threads;
+      options.chunk_pages = chunk_pages;
+      auto repo = SnapshotRepo::Create(run.dir.string(), config, options);
+      ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+      Carver serial(config, (*repo)->options());
+      for (size_t i = 0; i < captures.size(); ++i) {
+        const Bytes& capture = captures[i];
+        auto stats = (*repo)->Ingest(capture);
+        ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+        run.counters.push_back(IngestCounters(*stats));
+        if (i == 1) {
+          // One page appended; its twin in the same capture deduplicated.
+          EXPECT_EQ(stats->pages_total, 2u);
+          EXPECT_EQ(stats->pages_new, 1u);
+          EXPECT_EQ(stats->pages_reused, 1u);
+        }
+        auto expected = serial.Carve(capture);
+        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+        auto assembled = (*repo)->AssembleCarve(stats->snapshot_id);
+        ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+        ExpectSameCarveArtifacts(*expected, *assembled);
+      }
+      runs.push_back(std::move(run));
+    }
+  }
+
+  std::vector<std::string> files = {"pages.bin", "artifacts.bin"};
+  for (size_t id = 1; id <= captures.size(); ++id) {
+    files.push_back(StrFormat("snapshots/%zu.manifest", id));
+  }
+  const Run& ref = runs.front();
+  for (size_t r = 1; r < runs.size(); ++r) {
+    SCOPED_TRACE(runs[r].label + " vs " + ref.label);
+    EXPECT_EQ(runs[r].counters, ref.counters);
+    for (const std::string& file : files) {
+      EXPECT_EQ(FileBytes(runs[r].dir / file), FileBytes(ref.dir / file))
+          << file;
+    }
+  }
 }
 
 TEST(SnapshotRepoTest, DiffReportsAddedChangedVanished) {
