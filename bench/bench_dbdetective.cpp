@@ -5,8 +5,9 @@
 //
 // Also benchmarks unattributed-modification matching throughput of the
 // prebound matcher (predicates compiled once per carved schema, statements
-// bucketed per table, logged INSERT rows hashed). The accuracy tables print
-// to stderr so `--benchmark_format=json` output on stdout stays
+// bucketed per table, logged INSERT rows hashed), and a full Analyze over an
+// investigate-shaped bulk-loaded log with a RAM carve. The accuracy tables
+// print to stderr so `--benchmark_format=json` output on stdout stays
 // machine-readable.
 #include <benchmark/benchmark.h>
 
@@ -245,6 +246,88 @@ void BM_UnattributedMatching(benchmark::State& state) {
 BENCHMARK(BM_UnattributedMatching)
     ->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Full Analyze over an investigate-shaped case: one parse of a bulk-loaded
+// log shared by modification matching and read classification.
+
+/// A disk carve, a RAM carve and a log shaped like the pipeline benchmark's
+/// investigate images: 9,000 rows bulk-loaded through 200-row multi-row
+/// INSERTs, a 480-statement synthetic OLTP mix around the RAM capture, and
+/// an unlogged DELETE + INSERT.
+struct AnalyzeScenario {
+  std::unique_ptr<Database> db;  // owns the audit log
+  CarveResult disk;
+  CarveResult ram;
+  size_t log_bytes = 0;
+};
+
+const AnalyzeScenario& BulkLoadedScenario() {
+  static AnalyzeScenario& s = *new AnalyzeScenario();
+  if (s.db != nullptr) return s;
+  DatabaseOptions options;
+  options.buffer_pool_pages = 512;
+  s.db = Database::Open(options).value();
+  SyntheticWorkload workload(s.db.get(), "Accounts", 77);
+  (void)workload.Setup(0);
+  static const char* const kCities[] = {"Chicago", "Seattle", "Austin",
+                                        "Boston", "Denver"};
+  Rng rng(77);
+  for (int id = 1000000; id < 1009000;) {
+    std::string sql = "INSERT INTO Accounts VALUES ";
+    for (int j = 0; j < 200; ++j, ++id) {
+      if (j > 0) sql += ", ";
+      sql += StrFormat("(%d, 'Owner%d', '%s', %lld.%02d)", id,
+                       static_cast<int>(rng.Uniform(0, 9)),
+                       kCities[rng.NextU64() % 5],
+                       static_cast<long long>(rng.Uniform(0, 9999)),
+                       static_cast<int>(rng.Uniform(0, 99)));
+    }
+    (void)s.db->ExecuteSql(sql);
+  }
+  (void)workload.Run(240, OpMix{}, /*logged=*/true);
+  s.db->audit_log().SetEnabled(false);
+  (void)s.db->ExecuteSql("DELETE FROM Accounts WHERE Id = 1000017");
+  (void)s.db->ExecuteSql(
+      "INSERT INTO Accounts VALUES (2000001, 'Mallory', 'Nowhere', 13.37)");
+  s.db->audit_log().SetEnabled(true);
+  Bytes ram = s.db->SnapshotRam();
+  (void)workload.Run(240, OpMix{}, /*logged=*/true);
+  for (const AuditEntry& entry : s.db->audit_log().entries()) {
+    s.log_bytes += entry.sql.size();
+  }
+
+  CarverConfig config;
+  config.params = GetDialect(s.db->params().dialect).value();
+  s.disk = Carver(config).Carve(s.db->SnapshotDisk().value()).value();
+  CarveOptions ram_options;
+  ram_options.scan_step = s.db->params().page_size;
+  s.ram = Carver(config, ram_options).Carve(ram).value();
+  return s;
+}
+
+void BM_AnalyzeBulkLoadedLog(benchmark::State& state) {
+  const AnalyzeScenario& s = BulkLoadedScenario();
+  DbDetective detective(&s.disk, &s.db->audit_log(), &s.ram);
+  size_t checked = 0;
+  size_t flagged = 0;
+  for (auto _ : state) {
+    auto report = detective.Analyze();
+    if (!report.ok()) {
+      state.SkipWithError("Analyze failed");
+      break;
+    }
+    checked = report->deleted_records_checked + report->active_records_checked;
+    flagged = report->modifications.size() + report->reads.size();
+    benchmark::DoNotOptimize(report);
+  }
+  const AuditLog& log = s.db->audit_log();
+  state.counters["log_statements"] = static_cast<double>(log.entries().size());
+  state.counters["log_bytes"] = static_cast<double>(s.log_bytes);
+  state.counters["records_checked"] = static_cast<double>(checked);
+  state.counters["flagged"] = static_cast<double>(flagged);
+}
+BENCHMARK(BM_AnalyzeBulkLoadedLog)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

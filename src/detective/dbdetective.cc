@@ -18,36 +18,24 @@ struct TableLog {
   std::vector<const sql::UpdateStmt*> updates;
   std::vector<const sql::InsertStmt*> inserts;
   bool dropped = false;
-  bool mentioned = false;  // any logged statement touches the table
 };
 
 std::string TableKeyOf(const std::string& name) { return ToLower(name); }
 
-/// Parses every log entry and buckets the modification statements per
-/// (lower-cased) table name. `statements` owns the parsed statements the
-/// bucket pointers reference.
+/// Buckets the modification statements per (lower-cased) table name. The
+/// bucket pointers reference `statements`.
 std::map<std::string, TableLog> BucketLogByTable(
-    const AuditLog& log, std::vector<sql::Statement>* statements) {
-  statements->reserve(log.entries().size());
-  for (const AuditEntry& entry : log.entries()) {
-    auto stmt = sql::ParseStatement(entry.sql);
-    if (!stmt.ok()) continue;  // unparseable entries cannot attribute
-    statements->push_back(std::move(stmt).value());
-  }
+    const std::vector<sql::Statement>& statements) {
   std::map<std::string, TableLog> per_table;
-  for (const sql::Statement& stmt : *statements) {
+  for (const sql::Statement& stmt : statements) {
     if (const auto* del = std::get_if<sql::DeleteStmt>(&stmt)) {
       per_table[TableKeyOf(del->table)].deletes.push_back(del);
-      per_table[TableKeyOf(del->table)].mentioned = true;
     } else if (const auto* up = std::get_if<sql::UpdateStmt>(&stmt)) {
       per_table[TableKeyOf(up->table)].updates.push_back(up);
-      per_table[TableKeyOf(up->table)].mentioned = true;
     } else if (const auto* ins = std::get_if<sql::InsertStmt>(&stmt)) {
       per_table[TableKeyOf(ins->table)].inserts.push_back(ins);
-      per_table[TableKeyOf(ins->table)].mentioned = true;
     } else if (const auto* drop = std::get_if<sql::DropTableStmt>(&stmt)) {
       per_table[TableKeyOf(drop->table)].dropped = true;
-      per_table[TableKeyOf(drop->table)].mentioned = true;
     }
   }
   return per_table;
@@ -55,7 +43,8 @@ std::map<std::string, TableLog> BucketLogByTable(
 
 /// A table's logged statements compiled against its carved schema: WHERE
 /// predicates bound to flat column indices, INSERT rows hashed, UPDATE
-/// post-images resolved to column indices. Built once per table object;
+/// post-images resolved to column indices (with the UPDATE's WHERE bound
+/// when it reads no SET column). Built once per table object;
 /// the record sweep then never resolves a name or walks an unrelated
 /// statement.
 struct BoundTableLog {
@@ -67,8 +56,13 @@ struct BoundTableLog {
   std::vector<sql::BoundExprPtr> delete_preds;  // DELETE + UPDATE pre-image
   // INSERT row lookup: hash of the record -> candidate rows.
   std::unordered_map<size_t, std::vector<const Record*>> insert_rows;
-  // UPDATE post-images with every SET column resolved.
-  std::vector<std::vector<std::pair<size_t, const Value*>>> update_images;
+  // UPDATE post-images: every SET column resolved, and the UPDATE's WHERE
+  // when it reads no SET column (null otherwise).
+  struct UpdateImage {
+    std::vector<std::pair<size_t, const Value*>> set;
+    sql::BoundExprPtr where;
+  };
+  std::vector<UpdateImage> update_images;
 };
 
 BoundTableLog CompileTableLog(const TableLog& tlog,
@@ -101,8 +95,8 @@ BoundTableLog CompileTableLog(const TableLog& tlog,
   }
   for (const sql::UpdateStmt* up : tlog.updates) {
     if (up->assignments.empty()) continue;
-    std::vector<std::pair<size_t, const Value*>> image;
-    image.reserve(up->assignments.size());
+    BoundTableLog::UpdateImage image;
+    image.set.reserve(up->assignments.size());
     bool ok = true;
     for (const auto& [col, value] : up->assignments) {
       int ci = schema.ColumnIndex(col);
@@ -110,9 +104,27 @@ BoundTableLog CompileTableLog(const TableLog& tlog,
         ok = false;  // unresolvable SET column: post-image never matches
         break;
       }
-      image.emplace_back(static_cast<size_t>(ci), &value);
+      image.set.emplace_back(static_cast<size_t>(ci), &value);
     }
-    if (ok) bound.update_images.push_back(std::move(image));
+    if (!ok) continue;
+    // A legitimate post-image differs from its pre-image only in SET
+    // columns, and the pre-image satisfied the WHERE: a WHERE that reads no
+    // SET column must hold on the post-image too.
+    if (up->where != nullptr) {
+      std::vector<std::string> read;
+      sql::CollectColumns(*up->where, &read);
+      bool reads_set = false;
+      for (const std::string& name : read) {
+        std::optional<size_t> ci = resolver(name);
+        for (const auto& entry : image.set) reads_set |= ci == entry.first;
+      }
+      if (!reads_set) {
+        auto where = sql::BindExpr(*up->where, resolver);
+        if (!where.ok()) continue;  // matched no row, so explains none
+        image.where = std::move(where).value();
+      }
+    }
+    bound.update_images.push_back(std::move(image));
   }
   return bound;
 }
@@ -156,17 +168,30 @@ std::string DetectiveReport::ToString() const {
   return out;
 }
 
-Result<std::vector<UnattributedModification>>
-DbDetective::FindUnattributedModifications(size_t* deleted_checked,
-                                           size_t* active_checked) const {
+namespace {
+
+/// Every log entry parsed, in log order.
+std::vector<sql::Statement> ParseLog(const AuditLog& log) {
   std::vector<sql::Statement> statements;
-  std::map<std::string, TableLog> per_table =
-      BucketLogByTable(*log_, &statements);
+  statements.reserve(log.entries().size());
+  for (const AuditEntry& entry : log.entries()) {
+    auto stmt = sql::ParseStatement(entry.sql);
+    if (!stmt.ok()) continue;  // unparseable entries cannot attribute
+    statements.push_back(std::move(stmt).value());
+  }
+  return statements;
+}
+
+/// Figure 4 matching of the carved records against the parsed log.
+std::vector<UnattributedModification> MatchModifications(
+    const CarveResult& disk, const std::vector<sql::Statement>& statements,
+    size_t* deleted_checked, size_t* active_checked) {
+  std::map<std::string, TableLog> per_table = BucketLogByTable(statements);
 
   // Compile each carved table's logged statements once, keyed by the
   // record's object id so the sweep below does no string work at all.
   std::unordered_map<uint32_t, BoundTableLog> bound_logs;
-  for (const auto& [object_id, schema] : disk_->schemas) {
+  for (const auto& [object_id, schema] : disk.schemas) {
     bound_logs.emplace(object_id,
                        CompileTableLog(per_table[TableKeyOf(schema.name)],
                                        schema));
@@ -175,9 +200,9 @@ DbDetective::FindUnattributedModifications(size_t* deleted_checked,
   std::vector<UnattributedModification> out;
   size_t deleted_count = 0;
   size_t active_count = 0;
-  for (const CarvedRecord& r : disk_->records) {
-    auto schema_it = disk_->schemas.find(r.object_id);
-    if (schema_it == disk_->schemas.end()) continue;
+  for (const CarvedRecord& r : disk.records) {
+    auto schema_it = disk.schemas.find(r.object_id);
+    if (schema_it == disk.schemas.end()) continue;
     const TableSchema& schema = schema_it->second;
     if (!r.typed || r.values.size() != schema.columns.size()) continue;
     const BoundTableLog& tlog = bound_logs.find(r.object_id)->second;
@@ -208,15 +233,20 @@ DbDetective::FindUnattributedModifications(size_t* deleted_checked,
           }
         }
       }
-      // The post-image of a logged UPDATE: all SET values must be present.
+      // The post-image of a logged UPDATE: all SET values must be present
+      // (and the bound WHERE must hold, when there is one).
       for (const auto& image : tlog.update_images) {
         if (attributed) break;
         bool consistent = true;
-        for (const auto& [ci, value] : image) {
+        for (const auto& [ci, value] : image.set) {
           if (!(r.values[ci] == *value)) {
             consistent = false;
             break;
           }
+        }
+        if (consistent && image.where != nullptr) {
+          auto match = sql::EvalBoundPredicate(*image.where, r.values);
+          consistent = match.ok() && *match;
         }
         if (consistent) attributed = true;
       }
@@ -232,33 +262,33 @@ DbDetective::FindUnattributedModifications(size_t* deleted_checked,
   return out;
 }
 
-Result<std::vector<UnloggedAccess>> DbDetective::FindUnloggedReads() const {
+/// Cached access patterns in `ram` that no parsed log statement explains.
+std::vector<UnloggedAccess> ClassifyReads(
+    const CarveResult& disk, const CarveResult& ram,
+    const std::vector<sql::Statement>& statements) {
   std::vector<UnloggedAccess> out;
-  if (ram_ == nullptr) return out;
 
   // Tables a logged statement touches (any statement kind).
   std::set<std::string> mentioned;
-  for (const AuditEntry& entry : log_->entries()) {
-    auto stmt = sql::ParseStatement(entry.sql);
-    if (!stmt.ok()) continue;
-    if (const auto* sel = std::get_if<sql::SelectStmt>(&*stmt)) {
+  for (const sql::Statement& stmt : statements) {
+    if (const auto* sel = std::get_if<sql::SelectStmt>(&stmt)) {
       mentioned.insert(TableKeyOf(sel->from.table));
       for (const sql::JoinClause& j : sel->joins) {
         mentioned.insert(TableKeyOf(j.table.table));
       }
-    } else if (const auto* del = std::get_if<sql::DeleteStmt>(&*stmt)) {
+    } else if (const auto* del = std::get_if<sql::DeleteStmt>(&stmt)) {
       mentioned.insert(TableKeyOf(del->table));
-    } else if (const auto* up = std::get_if<sql::UpdateStmt>(&*stmt)) {
+    } else if (const auto* up = std::get_if<sql::UpdateStmt>(&stmt)) {
       mentioned.insert(TableKeyOf(up->table));
-    } else if (const auto* ins = std::get_if<sql::InsertStmt>(&*stmt)) {
+    } else if (const auto* ins = std::get_if<sql::InsertStmt>(&stmt)) {
       mentioned.insert(TableKeyOf(ins->table));
-    } else if (const auto* ct = std::get_if<sql::CreateTableStmt>(&*stmt)) {
+    } else if (const auto* ct = std::get_if<sql::CreateTableStmt>(&stmt)) {
       mentioned.insert(TableKeyOf(ct->schema.name));
-    } else if (const auto* ci = std::get_if<sql::CreateIndexStmt>(&*stmt)) {
+    } else if (const auto* ci = std::get_if<sql::CreateIndexStmt>(&stmt)) {
       mentioned.insert(TableKeyOf(ci->table));
-    } else if (const auto* vac = std::get_if<sql::VacuumStmt>(&*stmt)) {
+    } else if (const auto* vac = std::get_if<sql::VacuumStmt>(&stmt)) {
       mentioned.insert(TableKeyOf(vac->table));
-    } else if (const auto* drop = std::get_if<sql::DropTableStmt>(&*stmt)) {
+    } else if (const auto* drop = std::get_if<sql::DropTableStmt>(&stmt)) {
       mentioned.insert(TableKeyOf(drop->table));
     }
   }
@@ -267,25 +297,25 @@ Result<std::vector<UnloggedAccess>> DbDetective::FindUnloggedReads() const {
   // counts attributed to the owning table via carved index metadata.
   std::map<uint32_t, std::set<uint32_t>> cached_data;   // table obj -> pages
   std::map<uint32_t, size_t> cached_index;              // table obj -> count
-  for (const CarvedPage& p : ram_->pages) {
+  for (const CarvedPage& p : ram.pages) {
     if (p.type == PageType::kData) {
       cached_data[p.object_id].insert(p.page_id);
     } else if (p.type == PageType::kIndexLeaf ||
                p.type == PageType::kIndexInternal) {
-      auto meta = disk_->indexes.find(p.object_id);
-      if (meta != disk_->indexes.end()) {
+      auto meta = disk.indexes.find(p.object_id);
+      if (meta != disk.indexes.end()) {
         ++cached_index[meta->second.table_object_id];
       }
     }
   }
   // Total data pages per object on disk (for scan-coverage ratios).
   std::map<uint32_t, size_t> disk_pages;
-  for (const CarvedPage& p : disk_->pages) {
+  for (const CarvedPage& p : disk.pages) {
     if (p.type == PageType::kData) ++disk_pages[p.object_id];
   }
 
-  for (const auto& [object_id, schema] : disk_->schemas) {
-    if (disk_->dropped_objects.count(object_id) != 0) continue;
+  for (const auto& [object_id, schema] : disk.schemas) {
+    if (disk.dropped_objects.count(object_id) != 0) continue;
     auto data_it = cached_data.find(object_id);
     size_t data_count =
         data_it == cached_data.end() ? 0 : data_it->second.size();
@@ -322,6 +352,20 @@ Result<std::vector<UnloggedAccess>> DbDetective::FindUnloggedReads() const {
   return out;
 }
 
+}  // namespace
+
+Result<std::vector<UnattributedModification>>
+DbDetective::FindUnattributedModifications(size_t* deleted_checked,
+                                           size_t* active_checked) const {
+  return MatchModifications(*disk_, ParseLog(*log_), deleted_checked,
+                            active_checked);
+}
+
+Result<std::vector<UnloggedAccess>> DbDetective::FindUnloggedReads() const {
+  if (ram_ == nullptr) return std::vector<UnloggedAccess>();
+  return ClassifyReads(*disk_, *ram_, ParseLog(*log_));
+}
+
 Result<std::unique_ptr<MetaQuerySession>> DbDetective::MakeMetaQuerySession(
     std::vector<std::string>* skipped) const {
   auto session = std::make_unique<MetaQuerySession>(options_.metaquery);
@@ -337,11 +381,11 @@ Result<std::unique_ptr<MetaQuerySession>> DbDetective::MakeMetaQuerySession(
 Result<DetectiveReport> DbDetective::Analyze() const {
   DetectiveReport report;
   if (disk_ != nullptr) report.string_pool = disk_->string_pool;
-  DBFA_ASSIGN_OR_RETURN(
-      report.modifications,
-      FindUnattributedModifications(&report.deleted_records_checked,
-                                    &report.active_records_checked));
-  DBFA_ASSIGN_OR_RETURN(report.reads, FindUnloggedReads());
+  const std::vector<sql::Statement> statements = ParseLog(*log_);
+  report.modifications = MatchModifications(
+      *disk_, statements, &report.deleted_records_checked,
+      &report.active_records_checked);
+  if (ram_ != nullptr) report.reads = ClassifyReads(*disk_, *ram_, statements);
   return report;
 }
 

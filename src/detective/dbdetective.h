@@ -90,6 +90,7 @@ class DbDetective {
               DetectiveOptions options = {})
       : disk_(disk), log_(log), ram_(ram), options_(options) {}
 
+  /// Both analyses over one parse of the log.
   Result<DetectiveReport> Analyze() const;
 
   /// Modification analysis only (Figure 4). Every logged DELETE/UPDATE
@@ -100,7 +101,8 @@ class DbDetective {
       size_t* deleted_checked = nullptr,
       size_t* active_checked = nullptr) const;
 
-  /// Read analysis only (requires a RAM carve).
+  /// Read analysis only (requires a RAM carve). Parses the log itself;
+  /// Analyze shares one parse of the log with the modification analysis.
   Result<std::vector<UnloggedAccess>> FindUnloggedReads() const;
 
   /// Builds a meta-query session over the carves this detective was given:

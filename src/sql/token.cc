@@ -1,7 +1,9 @@
 #include "sql/token.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/strings.h"
 
@@ -9,6 +11,10 @@ namespace dbfa::sql {
 
 Result<std::vector<Token>> Tokenize(std::string_view sql) {
   std::vector<Token> tokens;
+  // Audit-log SQL averages about four bytes per token; reserving for that
+  // density avoids regrowth on short statements without claiming a slot
+  // per byte of a multi-row INSERT.
+  tokens.reserve(sql.size() / 4 + 2);
   size_t i = 0;
   const size_t n = sql.size();
   while (i < n) {
@@ -17,7 +23,7 @@ Result<std::vector<Token>> Tokenize(std::string_view sql) {
       ++i;
       continue;
     }
-    Token t;
+    Token& t = tokens.emplace_back();
     t.position = i;
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
       size_t start = i;
@@ -26,7 +32,7 @@ Result<std::vector<Token>> Tokenize(std::string_view sql) {
         ++i;
       }
       t.type = TokenType::kIdentifier;
-      t.text = std::string(sql.substr(start, i - start));
+      t.text.assign(sql.substr(start, i - start));
     } else if (std::isdigit(static_cast<unsigned char>(c))) {
       size_t start = i;
       bool is_float = false;
@@ -46,71 +52,67 @@ Result<std::vector<Token>> Tokenize(std::string_view sql) {
           while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
         }
       }
-      std::string text(sql.substr(start, i - start));
+      t.text.assign(sql.substr(start, i - start));
+      const char* first = sql.data() + start;
+      const char* last = sql.data() + i;
+      // from_chars leaves its output untouched when the literal is out of
+      // range; strtod/strtoll then give the saturated value (HUGE_VAL or 0,
+      // INT64_MAX).
       if (is_float) {
         t.type = TokenType::kFloat;
-        t.float_value = std::strtod(text.c_str(), nullptr);
+        if (std::from_chars(first, last, t.float_value).ec != std::errc()) {
+          t.float_value = std::strtod(t.text.c_str(), nullptr);
+        }
       } else {
         t.type = TokenType::kInteger;
-        t.int_value = std::strtoll(text.c_str(), nullptr, 10);
+        if (std::from_chars(first, last, t.int_value).ec != std::errc()) {
+          t.int_value = std::strtoll(t.text.c_str(), nullptr, 10);
+        }
       }
-      t.text = std::move(text);
     } else if (c == '\'') {
+      // Unescaped runs of the body are appended whole; '' decodes to '.
       ++i;
-      std::string body;
       bool closed = false;
       while (i < n) {
-        if (sql[i] == '\'') {
-          if (i + 1 < n && sql[i + 1] == '\'') {
-            body += '\'';
-            i += 2;
-            continue;
-          }
+        size_t quote = sql.find('\'', i);
+        if (quote == std::string_view::npos) break;
+        t.text.append(sql.substr(i, quote - i));
+        i = quote + 1;
+        if (i < n && sql[i] == '\'') {
+          t.text += '\'';
           ++i;
-          closed = true;
-          break;
+          continue;
         }
-        body += sql[i++];
+        closed = true;
+        break;
       }
       if (!closed) {
         return Status::InvalidArgument(
             StrFormat("unterminated string at offset %zu", t.position));
       }
       t.type = TokenType::kString;
-      t.text = std::move(body);
     } else {
       t.type = TokenType::kSymbol;
       // Multi-char operators first.
-      if (i + 1 < n) {
-        std::string two(sql.substr(i, 2));
-        if (two == "<=" || two == ">=" || two == "<>" || two == "!=") {
-          t.text = two == "!=" ? "<>" : two;
-          i += 2;
-          tokens.push_back(std::move(t));
-          continue;
-        }
+      std::string_view two = sql.substr(i, 2);
+      if (two == "<=" || two == ">=" || two == "<>" || two == "!=") {
+        t.text.assign(two == "!=" ? "<>" : two);
+        i += 2;
+        continue;
       }
-      static const char kSingles[] = "()*,.<>=+-/;";
-      bool known = false;
-      for (char s : kSingles) {
-        if (s == c) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
+      // The array's terminating NUL is one of the accepted singles.
+      static constexpr char kSingles[] = "()*,.<>=+-/;";
+      if (std::memchr(kSingles, c, sizeof(kSingles)) == nullptr) {
         return Status::InvalidArgument(
             StrFormat("unexpected character '%c' at offset %zu", c, i));
       }
-      t.text = std::string(1, c);
+      t.text.assign(1, c);
       ++i;
     }
-    tokens.push_back(std::move(t));
   }
-  Token end;
+  Token& end = tokens.emplace_back();
   end.type = TokenType::kEnd;
   end.position = n;
-  tokens.push_back(std::move(end));
   return tokens;
 }
 

@@ -6,6 +6,7 @@
 #include "detective/confidence.h"
 #include "detective/dbdetective.h"
 #include "oracles/detective_reference.h"
+#include "sql/parser.h"
 #include "storage/dialects.h"
 #include "workload/synthetic.h"
 
@@ -394,6 +395,109 @@ TEST(DetectiveTest, PreboundMatcherMatchesReferenceImplementation) {
   EXPECT_FALSE(fast->empty());
   for (size_t i = 0; i < fast->size(); ++i) {
     EXPECT_EQ((*fast)[i].ToString(), (*ref)[i].ToString()) << "finding " << i;
+  }
+}
+
+TEST(DetectiveTest, UpdatePostImageRespectsWhere) {
+  // A logged UPDATE explains a post-image only on the rows its WHERE
+  // selects: "SET Balance = 13.37 WHERE Id = 7" must not excuse a smuggled
+  // row that merely carries Balance 13.37. A WHERE that reads a SET column
+  // (the post-image need not satisfy it) keeps the SET-values-only rule.
+  auto db = Database::Open(DatabaseOptions{});
+  ASSERT_TRUE(db.ok());
+  SyntheticWorkload workload(db->get(), "Accounts", 5);
+  ASSERT_TRUE(workload.Setup(40).ok());
+  ASSERT_TRUE(
+      (*db)
+          ->ExecuteSql("UPDATE Accounts SET Balance = 13.37 WHERE Id = 7")
+          .ok());
+  ASSERT_TRUE((*db)
+                  ->ExecuteSql("UPDATE Accounts SET Balance = -1.5 WHERE "
+                               "Balance >= 0 AND Id = 3")
+                  .ok());
+  (*db)->audit_log().SetEnabled(false);
+  ASSERT_TRUE((*db)
+                  ->ExecuteSql("INSERT INTO Accounts VALUES "
+                               "(9001, 'Mallory', 'Nowhere', 13.37)")
+                  .ok());
+  (*db)->audit_log().SetEnabled(true);
+
+  auto carve = CarveDisk(db->get());
+  ASSERT_TRUE(carve.ok());
+  DbDetective detective(&*carve, &(*db)->audit_log());
+  auto found = detective.FindUnattributedModifications();
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  ASSERT_EQ(found->size(), 1u);
+  EXPECT_EQ((*found)[0].kind, UnattributedModification::Kind::kInsert);
+  EXPECT_EQ((*found)[0].values[0], Value::Int(9001)) << (*found)[0].ToString();
+
+  auto ref = oracle::FindUnattributedModificationsReference(
+      *carve, (*db)->audit_log());
+  ASSERT_TRUE(ref.ok());
+  ASSERT_EQ(ref->size(), 1u);
+  EXPECT_EQ((*ref)[0].ToString(), (*found)[0].ToString());
+}
+
+TEST(DetectiveTest, AnalyzeEqualsSeparateCalls) {
+  // Analyze parses the log once and shares it between both analyses; its
+  // report must equal the two separately parsing calls, finding for
+  // finding, on a disk + RAM carve whose log holds an unparseable entry.
+  DatabaseOptions options;
+  options.buffer_pool_pages = 64;
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok());
+  SyntheticWorkload workload(db->get(), "Accounts", 9);
+  ASSERT_TRUE(workload.Setup(150).ok());
+  ASSERT_TRUE(workload.Run(120, OpMix{}, /*logged=*/true).ok());
+  (*db)->audit_log().SetEnabled(false);
+  ASSERT_TRUE((*db)->CreateTable(AccountsSchema("Payroll")).ok());
+  for (int i = 1; i <= 200; ++i) {
+    ASSERT_TRUE((*db)
+                    ->Insert("Payroll", {Value::Int(i), Value::Str("Emp"),
+                                         Value::Str("HQ"), Value::Real(9.5)})
+                    .ok());
+  }
+  ASSERT_TRUE((*db)->ExecuteSql("DELETE FROM Accounts WHERE Id = 12").ok());
+  ASSERT_TRUE((*db)->SnapshotDisk().ok());
+  ASSERT_TRUE((*db)->pager().pool().Clear().ok());
+  ASSERT_TRUE((*db)->ExecuteSql("SELECT * FROM Payroll").ok());
+  (*db)->audit_log().SetEnabled(true);
+  ASSERT_TRUE((*db)->ExecuteSql("SELECT * FROM Accounts").ok());  // logged
+  ASSERT_TRUE((*db)->audit_log().Append(0, "DELETE FROM WHERE ((("));
+  const std::string& garbage = (*db)->audit_log().entries().back().sql;
+  ASSERT_FALSE(sql::ParseStatement(garbage).ok());
+
+  auto disk = CarveDisk(db->get());
+  ASSERT_TRUE(disk.ok());
+  CarveOptions ram_options;
+  ram_options.scan_step = (*db)->params().page_size;
+  Carver ram_carver(ConfigFor(**db), ram_options);
+  auto ram = ram_carver.Carve((*db)->SnapshotRam());
+  ASSERT_TRUE(ram.ok());
+
+  DbDetective detective(&*disk, &(*db)->audit_log(), &*ram);
+  auto report = detective.Analyze();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  size_t deleted = 0, active = 0;
+  auto mods = detective.FindUnattributedModifications(&deleted, &active);
+  auto reads = detective.FindUnloggedReads();
+  ASSERT_TRUE(mods.ok());
+  ASSERT_TRUE(reads.ok());
+
+  EXPECT_EQ(report->deleted_records_checked, deleted);
+  EXPECT_EQ(report->active_records_checked, active);
+  ASSERT_EQ(report->modifications.size(), mods->size());
+  EXPECT_FALSE(mods->empty());
+  for (size_t i = 0; i < mods->size(); ++i) {
+    EXPECT_EQ(report->modifications[i].ToString(), (*mods)[i].ToString())
+        << "finding " << i;
+  }
+  ASSERT_EQ(report->reads.size(), reads->size());
+  EXPECT_FALSE(reads->empty());
+  for (size_t i = 0; i < reads->size(); ++i) {
+    EXPECT_EQ(report->reads[i].ToString(), (*reads)[i].ToString())
+        << "read " << i;
+    EXPECT_NE((*reads)[i].table, "Accounts") << "the log reads Accounts";
   }
 }
 

@@ -1,5 +1,6 @@
 #include "oracles/detective_reference.h"
 
+#include <optional>
 #include <string>
 #include <variant>
 
@@ -48,22 +49,48 @@ bool DeletedAttributed(const sql::Statement& stmt,
   return false;
 }
 
+/// Whether `where` names a column of `schema` that one of `up`'s SET
+/// clauses assigns, resolving each name as `binding` would.
+bool ReadsSetColumn(const sql::Expr& where, const sql::UpdateStmt& up,
+                    const TableSchema& schema) {
+  std::vector<std::string> columns;
+  Record positions;
+  for (size_t i = 0; i < schema.columns.size(); ++i) {
+    columns.push_back(schema.columns[i].name);
+    positions.push_back(Value::Int(static_cast<int64_t>(i)));
+  }
+  sql::RecordBinding position_of(columns, positions, schema.name);
+  std::vector<std::string> read;
+  sql::CollectColumns(where, &read);
+  for (const std::string& name : read) {
+    std::optional<Value> pos = position_of.Lookup(name);
+    if (!pos.has_value()) continue;
+    for (const auto& [col, value] : up.assignments) {
+      if (schema.ColumnIndex(col) == pos->as_int()) return true;
+    }
+  }
+  return false;
+}
+
 bool ActiveAttributed(const sql::Statement& stmt, const TableSchema& schema,
-                      const Record& values) {
+                      const Record& values, const sql::RecordBinding& binding) {
   if (const auto* ins = std::get_if<sql::InsertStmt>(&stmt)) {
     for (const Record& row : ins->rows) {
       if (CompareRecords(row, values) == 0) return true;
     }
     return false;
   }
-  // The post-image of a logged UPDATE: all SET values must be present.
+  // The post-image of a logged UPDATE: all SET values must be present. It
+  // differs from its pre-image only in SET columns, so it must also satisfy
+  // a WHERE that reads none of them.
   if (const auto* up = std::get_if<sql::UpdateStmt>(&stmt)) {
     if (up->assignments.empty()) return false;
     for (const auto& [col, value] : up->assignments) {
       int ci = schema.ColumnIndex(col);
       if (ci < 0 || !(values[static_cast<size_t>(ci)] == value)) return false;
     }
-    return true;
+    return up->where == nullptr || ReadsSetColumn(*up->where, *up, schema) ||
+           PredicateMatches(up->where, binding);
   }
   return false;
 }
@@ -100,7 +127,7 @@ FindUnattributedModificationsReference(const CarveResult& disk,
       const std::string* table = ModifiedTable(stmt);
       if (table == nullptr || !EqualsIgnoreCase(*table, schema.name)) continue;
       attributed = deleted ? DeletedAttributed(stmt, binding)
-                           : ActiveAttributed(stmt, schema, r.values);
+                           : ActiveAttributed(stmt, schema, r.values, binding);
       if (attributed) break;
     }
     if (attributed) continue;

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
+#include "oracles/tokenize_reference.h"
 #include "sql/parser.h"
 #include "sql/token.h"
+#include "workload/fleet.h"
+#include "workload/synthetic.h"
 
 namespace dbfa::sql {
 namespace {
@@ -45,6 +53,113 @@ TEST(TokenizerTest, NotEqualsNormalized) {
 TEST(TokenizerTest, RejectsUnterminatedStringAndBadChars) {
   EXPECT_FALSE(Tokenize("'oops").ok());
   EXPECT_FALSE(Tokenize("a @ b").ok());
+}
+
+// ---- tokenizer vs. the reference tokenizer --------------------------------
+
+/// Tokenize must reproduce the reference tokenizer exactly: every token's
+/// type, text, integer value, float bits and offset, or the same error.
+void ExpectTokenizesLikeReference(std::string_view sql) {
+  auto got = Tokenize(sql);
+  auto want = oracle::TokenizeReference(sql);
+  ASSERT_EQ(got.ok(), want.ok()) << sql;
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString()) << sql;
+    return;
+  }
+  ASSERT_EQ(got->size(), want->size()) << sql;
+  for (size_t i = 0; i < got->size(); ++i) {
+    const Token& g = (*got)[i];
+    const Token& w = (*want)[i];
+    EXPECT_EQ(g.type, w.type) << sql << " token " << i;
+    EXPECT_EQ(g.text, w.text) << sql << " token " << i;
+    EXPECT_EQ(g.int_value, w.int_value) << sql << " token " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(g.float_value),
+              std::bit_cast<uint64_t>(w.float_value))
+        << sql << " token " << i;
+    EXPECT_EQ(g.position, w.position) << sql << " token " << i;
+  }
+}
+
+TEST(TokenizerDifferentialTest, SyntheticWorkloadLog) {
+  auto db = Database::Open(DatabaseOptions{});
+  ASSERT_TRUE(db.ok());
+  SyntheticWorkload workload(db->get(), "Accounts", 17);
+  ASSERT_TRUE(workload.Setup(200).ok());
+  ASSERT_TRUE(workload.Run(400, OpMix{}, /*logged=*/true).ok());
+  const auto& entries = (*db)->audit_log().entries();
+  ASSERT_GT(entries.size(), 600u);
+  for (const AuditEntry& entry : entries) {
+    ExpectTokenizesLikeReference(entry.sql);
+  }
+}
+
+TEST(TokenizerDifferentialTest, FleetLogs) {
+  FleetOptions options;
+  options.instances = 4;
+  options.seed_rows = 60;
+  options.attack_rate = 0.2;
+  auto fleet = FleetSimulator::Make(options);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  for (int tick = 0; tick < 6; ++tick) {
+    for (size_t i = 0; i < (*fleet)->size(); ++i) {
+      ASSERT_TRUE((*fleet)->Tick(i).ok());
+    }
+  }
+  size_t statements = 0;
+  for (size_t i = 0; i < (*fleet)->size(); ++i) {
+    for (const AuditEntry& entry : (*fleet)->Log(i).entries()) {
+      ExpectTokenizesLikeReference(entry.sql);
+      ++statements;
+    }
+  }
+  EXPECT_GT(statements, 200u);
+}
+
+TEST(TokenizerDifferentialTest, EdgeCases) {
+  // String bodies: '' escapes, empty bodies, unterminated strings.
+  ExpectTokenizesLikeReference("'it''s'");
+  ExpectTokenizesLikeReference("''");
+  ExpectTokenizesLikeReference("''''");
+  ExpectTokenizesLikeReference("'a''''b' 'c'");
+  ExpectTokenizesLikeReference("'oops");
+  ExpectTokenizesLikeReference("'");
+  ExpectTokenizesLikeReference("'trailing escape''");
+  // Operators: != normalised to <>, split operators, unknown characters.
+  ExpectTokenizesLikeReference("a != b");
+  ExpectTokenizesLikeReference("a<=b>=c<>d");
+  ExpectTokenizesLikeReference("x < = y");
+  ExpectTokenizesLikeReference("<");
+  ExpectTokenizesLikeReference("!");
+  ExpectTokenizesLikeReference("a @ b");
+  ExpectTokenizesLikeReference("@");
+  ExpectTokenizesLikeReference(std::string("a\0b", 3));
+  ExpectTokenizesLikeReference("SELECT\x80 1");
+  // Numbers, including literals beyond int64 and double range.
+  ExpectTokenizesLikeReference("1e3 1E+5 2.5e-3 007 12.50");
+  ExpectTokenizesLikeReference("1e");
+  ExpectTokenizesLikeReference("1e+");
+  ExpectTokenizesLikeReference("1.");
+  ExpectTokenizesLikeReference(".5");
+  ExpectTokenizesLikeReference("9223372036854775807");
+  ExpectTokenizesLikeReference("9223372036854775808");
+  ExpectTokenizesLikeReference("123456789012345678901234567890");
+  ExpectTokenizesLikeReference("1e999");
+  ExpectTokenizesLikeReference("1e-999");
+  ExpectTokenizesLikeReference("1e-310");
+  // Identifiers with '#', blank input, a multi-row INSERT.
+  ExpectTokenizesLikeReference("Tbl#1 a#b _x#");
+  ExpectTokenizesLikeReference("");
+  ExpectTokenizesLikeReference("   \t\n");
+  ExpectTokenizesLikeReference(
+      "INSERT INTO t VALUES (1, 'x''y', 2.5), (2, '', -3);");
+
+  // The out-of-range literals keep their saturated values.
+  auto big = Tokenize("9223372036854775808 1e999 1e-999");
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ((*big)[0].int_value, std::numeric_limits<int64_t>::max());
+  EXPECT_TRUE(std::isinf((*big)[1].float_value));
+  EXPECT_EQ((*big)[2].float_value, 0.0);
 }
 
 // ---- expressions -----------------------------------------------------------
