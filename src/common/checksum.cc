@@ -61,6 +61,33 @@ uint32_t CrcUpdate(uint32_t c, ByteView data) {
   return c;
 }
 
+// Fletcher-16 sums modulo 255, but reducing is only needed before a 32-bit
+// sum can overflow: starting from reduced sums (< 255), 5,802 bytes of 0xFF
+// keep sum2 below 2^32 and 5,803 do not. Reducing once per block gives the
+// same residues, so the result is bit-identical to the per-byte `% 255`.
+constexpr size_t kFletcherBlock = 5802;
+
+/// Advances reduced Fletcher sums `*a`/`*b` over `data`; both stay < 255.
+void FletcherUpdate(uint32_t* a, uint32_t* b, ByteView data) {
+  uint32_t sum1 = *a;
+  uint32_t sum2 = *b;
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  while (n > 0) {
+    size_t block = n < kFletcherBlock ? n : kFletcherBlock;
+    for (size_t i = 0; i < block; ++i) {
+      sum1 += p[i];
+      sum2 += sum1;
+    }
+    sum1 %= 255;
+    sum2 %= 255;
+    p += block;
+    n -= block;
+  }
+  *a = sum1;
+  *b = sum2;
+}
+
 }  // namespace
 
 const char* ChecksumKindName(ChecksumKind kind) {
@@ -84,10 +111,7 @@ uint32_t Crc32(ByteView data) {
 uint16_t Fletcher16(ByteView data) {
   uint32_t sum1 = 0;
   uint32_t sum2 = 0;
-  for (size_t i = 0; i < data.size(); ++i) {
-    sum1 = (sum1 + data[i]) % 255;
-    sum2 = (sum2 + sum1) % 255;
-  }
+  FletcherUpdate(&sum1, &sum2, data);
   return static_cast<uint16_t>((sum2 << 8) | sum1);
 }
 
@@ -123,10 +147,7 @@ void ChecksumStream::Update(ByteView data) {
       a_ = CrcUpdate(a_, data);
       break;
     case ChecksumKind::kFletcher16:
-      for (size_t i = 0; i < data.size(); ++i) {
-        a_ = (a_ + data[i]) % 255;
-        b_ = (b_ + a_) % 255;
-      }
+      FletcherUpdate(&a_, &b_, data);
       break;
     case ChecksumKind::kXor8:
       for (size_t i = 0; i < data.size(); ++i) a_ ^= data[i];

@@ -57,6 +57,11 @@ enum Rank : int {
   // under it by design (see docs/lock_order.md).
   kAuditFeed = 40,
 
+  // -- reenactment (src/reenact/reenactor.h) ----------------------------
+  // One Reenactor's ClaimedHistory memo slot: held only to compare a log
+  // against the memo key and to swap a shared_ptr; nothing nests under it.
+  kReenactMemo = 45,
+
   // -- meta-query session (src/metaquery/session.h) ----------------------
   // Lazy worker-pool creation; a pool may be constructed under it.
   kSessionPool = 50,

@@ -37,16 +37,16 @@ Result<LogValidationReport> LogValidator::Validate(
     flagged.insert(f.seq);
   }
 
-  // Detector 3: replay the claimed history; the outcome trail records the
+  // Detector 3: the claimed history's replay; the outcome trail records the
   // row id the counter held before each statement — the id an honest
   // history would have stamped on that INSERT's record.
-  DBFA_ASSIGN_OR_RETURN(ReenactedState state, reenactor_->Replay(log));
+  DBFA_ASSIGN_OR_RETURN(auto history, reenactor_->History(log));
   struct MatchedInsert {
     const StatementOutcome* outcome;
     uint64_t carved_row_id;
   };
   std::vector<MatchedInsert> matched;
-  for (const StatementOutcome& outcome : state.outcomes) {
+  for (const StatementOutcome& outcome : history->outcomes) {
     if (!outcome.applied) continue;
     auto stmt = sql::ParseStatement(outcome.sql);
     if (!stmt.ok()) continue;

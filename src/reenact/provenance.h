@@ -22,43 +22,6 @@
 
 namespace dbfa {
 
-enum class EffectKind { kInsert, kDelete, kUpdateBefore, kUpdateAfter };
-
-const char* EffectKindName(EffectKind kind);
-
-/// One row-level write a statement performed during replay.
-struct RowEffect {
-  EffectKind kind = EffectKind::kInsert;
-  std::string table;  // catalog key (lower-cased)
-  Record values;
-
-  std::string ToString() const;
-};
-
-/// How carved storage evidence relates to a transaction's replayed effects.
-enum class EvidenceVerdict {
-  kConfirmed,     // every checkable effect found where storage should hold it
-  kContradicted,  // storage actively disagrees (e.g. a "deleted" row is live)
-  kMissing,       // a final effect is absent from the carved active records
-  kUnverifiable,  // no row effects, or the dialect purged the evidence
-};
-
-const char* EvidenceVerdictName(EvidenceVerdict verdict);
-
-/// One logged transaction's reconstructed footprint.
-struct TransactionFootprint {
-  uint64_t seq = 0;
-  int64_t timestamp = 0;
-  std::string sql;
-  bool applied = false;             // replayed cleanly on the reference engine
-  std::vector<RowEffect> writes;
-  std::vector<std::string> reads;   // tables the statement read (scans)
-  EvidenceVerdict verdict = EvidenceVerdict::kUnverifiable;
-  std::string evidence;             // justification for the verdict
-
-  std::string ToString() const;
-};
-
 struct ProvenanceReport {
   std::vector<TransactionFootprint> transactions;
   size_t confirmed = 0;
@@ -76,8 +39,9 @@ class ProvenanceAnalyzer {
   explicit ProvenanceAnalyzer(const Reenactor& reenactor)
       : reenactor_(&reenactor) {}
 
-  /// Replays `log`, reconstructing each entry's footprint, then joins the
-  /// effects against `disk` (the carved reality of the same instance).
+  /// Takes each entry's footprint from the log's ClaimedHistory, then
+  /// joins the effects against `disk` (the carved reality of the same
+  /// instance). A footprint-capture error is the result.
   Result<ProvenanceReport> Analyze(const AuditLog& log,
                                    const CarveResult& disk) const;
 

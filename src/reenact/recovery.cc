@@ -11,18 +11,6 @@
 namespace dbfa {
 namespace {
 
-const char* KindName(RowCorruption::Kind kind) {
-  switch (kind) {
-    case RowCorruption::Kind::kExtraneous:
-      return "extraneous";
-    case RowCorruption::Kind::kMissing:
-      return "missing";
-    case RowCorruption::Kind::kAltered:
-      return "altered";
-  }
-  return "?";
-}
-
 /// "col = literal" (or "col IS NULL") comparison term.
 std::string EqualityTerm(const std::string& column, const Value& value) {
   if (value.is_null()) return column + " IS NULL";
@@ -90,7 +78,7 @@ std::string RowCorruption::ToString() const {
                        RecordToString(actual).c_str(),
                        RecordToString(claimed).c_str());
   }
-  return KindName(kind);
+  return "?";
 }
 
 std::string RecoveryScript::ToSql() const {
@@ -114,9 +102,8 @@ std::string RecoveryScript::ToString() const {
 Result<RecoveryScript> RecoveryPlanner::Plan(const AuditLog& log,
                                              const CarveResult& disk) const {
   RecoveryScript script;
-  DBFA_ASSIGN_OR_RETURN(ReenactedState state, reenactor_->Replay(log));
-  DBFA_ASSIGN_OR_RETURN(auto claimed_tables,
-                        ActiveRowsByTable(state.db.get()));
+  DBFA_ASSIGN_OR_RETURN(auto history, reenactor_->History(log));
+  const auto& claimed_tables = history->final_rows;
 
   // Carved reality: typed active records from parsed slots (orphans from
   // the raw scan have no live slot and are not part of the current state).
@@ -146,9 +133,9 @@ Result<RecoveryScript> RecoveryPlanner::Plan(const AuditLog& log,
     // Schema preference: the replayed engine's catalog (it knows the
     // claimed state), falling back to the carved catalog records.
     const TableSchema* schema = nullptr;
-    const TableInfo* info = state.db->catalog().Find(table);
-    if (info != nullptr) {
-      schema = &info->schema;
+    auto claimed_schema = history->schemas.find(table);
+    if (claimed_schema != history->schemas.end()) {
+      schema = &claimed_schema->second;
     } else {
       auto it = carved_schema.find(table);
       if (it != carved_schema.end()) schema = it->second;
@@ -219,24 +206,16 @@ Result<RecoveryScript> RecoveryPlanner::Plan(const AuditLog& log,
       size_t actual_count = actual_rows == nullptr ? 0 : actual_rows->size();
       if (actual_count > claimed_count) {
         const Record& actual = (*actual_rows)[0];
-        // One DELETE removes every copy matched by the full-row (or key)
-        // predicate; claimed copies are re-inserted below.
-        std::string where =
-            key_indexes.empty()
-                ? [&] {
-                    std::string terms;
-                    for (size_t i = 0;
-                         i < schema->columns.size() && i < actual.size();
-                         ++i) {
-                      if (!terms.empty()) terms += " AND ";
-                      terms += EqualityTerm(schema->columns[i].name,
-                                            actual[i]);
-                    }
-                    return terms;
-                  }()
-                : KeyWhere(*schema, key_indexes, actual);
-        deletes.push_back(StrFormat("DELETE FROM %s WHERE %s",
-                                    schema->name.c_str(), where.c_str()));
+        // One DELETE removes every copy matched by the key (or, keyless,
+        // full-row) predicate; claimed copies are re-inserted below.
+        std::vector<size_t> where_columns = key_indexes;
+        size_t width = std::min(schema->columns.size(), actual.size());
+        for (size_t i = 0; key_indexes.empty() && i < width; ++i) {
+          where_columns.push_back(i);
+        }
+        deletes.push_back(StrFormat(
+            "DELETE FROM %s WHERE %s", schema->name.c_str(),
+            KeyWhere(*schema, where_columns, actual).c_str()));
         // The delete removed every matched copy; re-insert the claimed ones.
         if (claimed_rows != nullptr) {
           for (const Record& r : *claimed_rows) {
@@ -295,9 +274,8 @@ Result<RecoveryVerification> RecoveryPlanner::Verify(
     const RecoveryScript& script, const AuditLog& log,
     const CarveResult& disk) const {
   RecoveryVerification verification;
-  DBFA_ASSIGN_OR_RETURN(ReenactedState claimed, reenactor_->Replay(log));
-  DBFA_ASSIGN_OR_RETURN(verification.claimed_fingerprint,
-                        claimed.Fingerprint());
+  DBFA_ASSIGN_OR_RETURN(auto claimed, reenactor_->History(log));
+  verification.claimed_fingerprint = claimed->fingerprint;
   DBFA_ASSIGN_OR_RETURN(auto recovered, MaterializeCarvedState(disk));
   for (const std::string& statement : script.statements) {
     DBFA_RETURN_IF_ERROR(recovered->ExecuteSql(statement).status());

@@ -65,10 +65,10 @@ class RecoveryPlanner {
   explicit RecoveryPlanner(const Reenactor& reenactor)
       : reenactor_(&reenactor) {}
 
-  /// Diffs the full replay of `log` against the carved active records of
-  /// `disk` and emits the undo script. Tables with a usable primary key
-  /// diff per-key (detecting in-place alterations); the rest fall back to
-  /// full-row multiset comparison.
+  /// Diffs the full replay of `log` (its ClaimedHistory) against the
+  /// carved active records of `disk` and emits the undo script. Tables
+  /// with a usable primary key diff per-key (detecting in-place
+  /// alterations); the rest fall back to full-row multiset comparison.
   Result<RecoveryScript> Plan(const AuditLog& log,
                               const CarveResult& disk) const;
 

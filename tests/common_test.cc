@@ -145,6 +145,47 @@ TEST(ChecksumTest, StreamMatchesOneShot) {
   }
 }
 
+/// The textbook Fletcher-16: both sums reduced modulo 255 after every byte.
+uint32_t FletcherPerByte(ByteView data) {
+  uint32_t sum1 = 0;
+  uint32_t sum2 = 0;
+  for (size_t i = 0; i < data.size(); ++i) {
+    sum1 = (sum1 + data[i]) % 255;
+    sum2 = (sum2 + sum1) % 255;
+  }
+  return (sum2 << 8) | sum1;
+}
+
+TEST(ChecksumTest, FletcherMatchesPerByteReduction) {
+  Rng rng(16);
+  auto check = [](const Bytes& data, size_t cut) {
+    ASSERT_LE(cut, data.size());
+    uint32_t expected = FletcherPerByte(data);
+    EXPECT_EQ(Fletcher16(data), expected) << "length " << data.size();
+    ChecksumStream stream(ChecksumKind::kFletcher16);
+    stream.Update(ByteView(data.data(), cut));
+    stream.Update(ByteView(data.data() + cut, data.size() - cut));
+    EXPECT_EQ(stream.Final(), expected)
+        << "length " << data.size() << " split at " << cut;
+  };
+  // The overflow worst case: sums already at 254 (one 0xFE byte), then a
+  // run of 0xFF. Lengths straddle the reduction block (5,802 bytes) and its
+  // multiples, split streams included.
+  for (size_t length : {0u, 1u, 5801u, 5802u, 5803u, 11604u, 11605u, 40000u}) {
+    Bytes worst(length + 1, 0xFF);
+    worst[0] = 0xFE;
+    check(worst, 1);
+    check(worst, length / 2);
+    check(worst, length);
+  }
+  for (int i = 0; i < 400; ++i) {
+    Bytes data(static_cast<size_t>(rng.Uniform(0, 40000)));
+    for (uint8_t& b : data) b = static_cast<uint8_t>(rng.NextU64());
+    check(data, static_cast<size_t>(
+                    rng.Uniform(0, static_cast<int64_t>(data.size()))));
+  }
+}
+
 TEST(ChecksumTest, Widths) {
   EXPECT_EQ(ChecksumWidth(ChecksumKind::kNone), 0u);
   EXPECT_EQ(ChecksumWidth(ChecksumKind::kCrc32), 4u);
